@@ -65,8 +65,8 @@ usage(int code)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     setQuiet(true);
 
@@ -159,4 +159,10 @@ main(int argc, char **argv)
 
     return runSweepBench(spec, bench, int(sweep_args.size()),
                          sweep_args.data());
+}
+
+int
+main(int argc, char **argv)
+{
+    return a4::runCli("a4bench", [&] { return run(argc, argv); });
 }

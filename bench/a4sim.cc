@@ -111,8 +111,8 @@ printResult(const std::string &name, const ScenarioSpec &spec,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     setQuiet(true);
 
@@ -251,4 +251,10 @@ main(int argc, char **argv)
             printResult(name, spec, specResultFrom(*rec));
     }
     return sw.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return a4::runCli("a4sim", [&] { return run(argc, argv); });
 }

@@ -16,6 +16,7 @@
 
 #include "harness/worker.hh"
 #include "net/protocol.hh"
+#include "sim/log.hh"
 
 namespace
 {
@@ -39,8 +40,8 @@ usage(int code)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     a4::WorkerOptions opt;
     bool once = false;
@@ -91,4 +92,10 @@ main(int argc, char **argv)
         return 0;
     }
     server.serveForever();
+}
+
+int
+main(int argc, char **argv)
+{
+    return a4::runCli("a4worker", [&] { return run(argc, argv); });
 }

@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "mem/dram.hh"
 #include "rdt/cat.hh"
@@ -18,11 +20,22 @@ using namespace a4;
 namespace
 {
 
+/** The hot-path rig: the default geometry at scale 4, optionally with
+ *  the MLC cut down to @p mlc_sets sets. */
+CacheGeometry
+rigGeometry(unsigned mlc_sets)
+{
+    CacheGeometry g = CacheGeometry{}.scaled(4);
+    if (mlc_sets != 0)
+        g.mlc_sets = mlc_sets;
+    return g;
+}
+
 struct Rig
 {
-    Rig()
+    explicit Rig(unsigned mlc_sets = 0)
         : cat(11, 18),
-          cache(CacheGeometry{}.scaled(4), CacheLatencies{}, dram, cat)
+          cache(rigGeometry(mlc_sets), CacheLatencies{}, dram, cat)
     {}
 
     Dram dram;
@@ -50,24 +63,35 @@ BENCHMARK(BM_MlcHit);
 static void
 BM_LlcHitVictimRoundTrip(benchmark::State &state)
 {
-    // Alternating conflict pair: every access is an MLC miss that
-    // hits the LLC and round-trips through the victim path.
-    Rig r;
-    // Build a set of lines that collide in the MLC (same MLC set).
+    // Every access is an MLC miss that hits the LLC and round-trips
+    // through the victim path: with a single MLC set, cycling through
+    // more lines than the MLC has ways always misses it, while the
+    // lines fit the LLC with room to spare.
+    Rig r(1);
+    constexpr unsigned kLines = 20;
+    static_assert(kLines > CacheGeometry{}.mlc_ways);
     std::vector<Addr> conflict;
-    Addr probe = 0x100000;
-    while (conflict.size() < 20) {
-        if (r.cache.inMlc(kCore, 0x100000) || true) {
-            conflict.push_back(probe);
-            probe += kLineBytes;
-        }
+    for (unsigned i = 0; i < kLines; ++i)
+        conflict.push_back(0x100000 + Addr(i) * kLineBytes);
+    // Two warm-up laps leave every line in the LLC or the MLC.
+    for (unsigned lap = 0; lap < 2; ++lap) {
+        for (Addr a : conflict)
+            r.cache.coreRead(0, kCore, a, kWl);
     }
+    const WorkloadCounters &c = r.cache.wl(kWl);
+    const std::uint64_t miss0 = c.mlc_miss.value();
+    const std::uint64_t hit0 = c.llc_hit.value();
+
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             r.cache.coreRead(0, kCore, conflict[i], kWl));
         i = (i + 1) % conflict.size();
     }
+    const auto iters = static_cast<std::uint64_t>(state.iterations());
+    if (c.mlc_miss.value() - miss0 != iters ||
+        c.llc_hit.value() - hit0 != iters)
+        state.SkipWithError("an access did not take the victim path");
 }
 BENCHMARK(BM_LlcHitVictimRoundTrip);
 

@@ -1,11 +1,30 @@
 #include "cache/hierarchy.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 #include "sim/log.hh"
 
 namespace a4
 {
+
+void *
+mapZeroedPages(std::size_t bytes)
+{
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+unmapPages(void *p, std::size_t bytes) noexcept
+{
+    ::munmap(p, bytes);
+}
 
 CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
                          Dram &dram_, CatController &cat_)
@@ -15,35 +34,128 @@ CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
         fatal("CacheSystem: DCA + inclusive ways exceed associativity");
     if (cat.numWays() != geom.llc_ways)
         fatal("CacheSystem: CAT way count disagrees with geometry");
+    if (geom.mlc_ways == 0 || geom.mlc_ways > setmeta::kMaxWays)
+        fatal(sformat("CacheSystem: MLC associativity must be 1..%u",
+                      setmeta::kMaxWays));
 
     dca_mask = CatController::makeMask(0, geom.dca_ways - 1);
     inclusive_mask = CatController::makeMask(geom.firstInclusiveWay(),
                                              geom.llc_ways - 1);
 
     const std::size_t llc_n = std::size_t(geom.llc_sets) * geom.llc_ways;
-    llc_tags.assign(llc_n, 0);
-    llc_lru.assign(llc_n, 0);
-    llc_owner.assign(llc_n, 0);
-    llc_mlc_core.assign(llc_n, 0);
-    llc_tick.assign(geom.llc_sets, 0);
+    llc_tags.resize(llc_n);
+    llc_lru.resize(llc_n);
+    llc_owner.resize(llc_n);
+    llc_mlc_core.resize(llc_n);
+    llc_tick.resize(geom.llc_sets);
 
     const std::size_t mlc_n =
         std::size_t(geom.num_cores) * geom.mlc_sets * geom.mlc_ways;
-    mlc_tags.assign(mlc_n, 0);
-    mlc_lru.assign(mlc_n, 0);
-    mlc_owner.assign(mlc_n, 0);
-    mlc_tick.assign(std::size_t(geom.num_cores) * geom.mlc_sets, 0);
+    mlc_tags.resize(mlc_n);
+    mlc_lru.resize(mlc_n);
+    mlc_owner.resize(mlc_n);
+    mlc_tick.resize(std::size_t(geom.num_cores) * geom.mlc_sets);
 
+    initMetadata();
     wl_stats.resize(16);
+}
+
+// --- derived set metadata ----------------------------------------------------
+
+namespace
+{
+
+/** Identity recency order and all-invalid fingerprints for @p sets
+ *  sets of @p ways ways. */
+void
+initSets(std::vector<std::uint8_t> &meta, std::size_t sets, unsigned ways)
+{
+    meta.assign(sets * 2 * ways + setmeta::kTailPad, setmeta::kInvalidFp);
+    for (std::size_t s = 0; s < sets; ++s) {
+        std::uint8_t *order = &meta[s * 2 * ways + ways];
+        for (unsigned w = 0; w < ways; ++w)
+            order[w] = static_cast<std::uint8_t>(w);
+    }
+}
+
+/**
+ * Recency order of one set from its stamps: valid ways by descending
+ * stamp, equal stamps with the higher way first — so the back of the
+ * order is the way the minimum-stamp scan (lowest way on ties) would
+ * pick — then the invalid ways, whose position never decides a
+ * victim.
+ */
+void
+orderByStamps(std::uint8_t *order, const std::uint64_t *tags,
+              const std::uint32_t *stamps, unsigned ways,
+              std::uint64_t valid_bit)
+{
+    for (unsigned w = 0; w < ways; ++w)
+        order[w] = static_cast<std::uint8_t>(w);
+    std::sort(order, order + ways, [&](std::uint8_t a, std::uint8_t b) {
+        const bool va = tags[a] & valid_bit;
+        const bool vb = tags[b] & valid_bit;
+        if (va != vb)
+            return va;
+        if (!va)
+            return a < b;
+        if (stamps[a] != stamps[b])
+            return stamps[a] > stamps[b];
+        return a > b;
+    });
+}
+
+} // namespace
+
+void
+CacheSystem::initMetadata()
+{
+    initSets(llc_meta, geom.llc_sets, geom.llc_ways);
+    initSets(mlc_meta, std::size_t(geom.num_cores) * geom.mlc_sets,
+             geom.mlc_ways);
+}
+
+void
+CacheSystem::rebuildMetadata()
+{
+    initMetadata();
+    const unsigned lw = geom.llc_ways;
+    for (unsigned s = 0; s < geom.llc_sets; ++s) {
+        const std::uint64_t *tags = &llc_tags[llcIdx(s, 0)];
+        std::uint8_t *meta = llcMeta(s);
+        for (unsigned w = 0; w < lw; ++w) {
+            if (tags[w] & kValidEntryBit)
+                meta[w] = llcLoc(lineOfEntry(tags[w])).fp;
+        }
+        if (geom.replacement == LlcReplacement::Lru)
+            orderByStamps(meta + lw, tags, &llc_lru[llcIdx(s, 0)], lw,
+                          kValidEntryBit);
+    }
+    const unsigned mw = geom.mlc_ways;
+    for (std::size_t ms = 0; ms < mlc_tick.size(); ++ms) {
+        const std::uint64_t *tags = &mlc_tags[ms * mw];
+        std::uint8_t *meta = mlcMeta(ms);
+        for (unsigned w = 0; w < mw; ++w) {
+            if (tags[w] & kValidEntryBit)
+                meta[w] = mlcLoc(lineOfEntry(tags[w])).fp;
+        }
+        orderByStamps(meta + mw, tags, &mlc_lru[ms * mw], mw,
+                      kValidEntryBit);
+    }
 }
 
 void
 CacheSystem::touchLlc(unsigned set, unsigned way)
 {
-    // LRU: bump the per-set clock. SRRIP: promote to near-immediate
-    // re-reference (RRPV 0).
-    llc_lru[llcIdx(set, way)] =
-        geom.replacement == LlcReplacement::Lru ? ++llc_tick[set] : 0;
+    // LRU: bump the per-set clock and move the way to the front of
+    // the recency order. SRRIP: promote to near-immediate re-reference
+    // (RRPV 0).
+    if (geom.replacement == LlcReplacement::Lru) {
+        llc_lru[llcIdx(set, way)] = ++llc_tick[set];
+        setmeta::touch(llcMeta(set) + geom.llc_ways, geom.llc_ways, way);
+    } else {
+        llc_lru[llcIdx(set, way)] = 0;
+    }
 }
 
 void
@@ -52,8 +164,17 @@ CacheSystem::stampInsertLlc(unsigned set, unsigned way)
     // SRRIP inserts at a long re-reference interval (RRPV 2), which
     // is what lets one-shot (bloated) lines age out before reused
     // ones; LRU inserts at MRU.
-    llc_lru[llcIdx(set, way)] =
-        geom.replacement == LlcReplacement::Lru ? ++llc_tick[set] : 2;
+    if (geom.replacement == LlcReplacement::Lru)
+        touchLlc(set, way);
+    else
+        llc_lru[llcIdx(set, way)] = 2;
+}
+
+void
+CacheSystem::llcInvalidate(unsigned set, unsigned way)
+{
+    llc_tags[llcIdx(set, way)] = 0;
+    llcMeta(set)[way] = setmeta::kInvalidFp;
 }
 
 // --- deferred device accesses -----------------------------------------------
@@ -106,24 +227,6 @@ CacheSystem::drainDeferredSlow(Tick now)
     draining_ = false;
 }
 
-// --- counters ----------------------------------------------------------------
-
-WorkloadCounters &
-CacheSystem::wl(WorkloadId id)
-{
-    if (id >= wl_stats.size())
-        wl_stats.resize(std::size_t(id) + 1);
-    return wl_stats[id];
-}
-
-const WorkloadCounters &
-CacheSystem::wlConst(WorkloadId id) const
-{
-    if (id >= wl_stats.size())
-        wl_stats.resize(std::size_t(id) + 1);
-    return wl_stats[id];
-}
-
 // --- core-side path -----------------------------------------------------------
 
 AccessResult
@@ -150,11 +253,16 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
     WorkloadCounters &w = wl(wl_id);
 
     // MLC lookup.
-    const unsigned mset = mlcSetOf(line);
-    if (int mw = mlcFindWay(core, mset, line); mw >= 0) {
-        const std::size_t mi = mlcIdx(core, mset, unsigned(mw));
-        mlc_lru[mi] =
-            ++mlc_tick[std::size_t(core) * geom.mlc_sets + mset];
+    const unsigned mways = geom.mlc_ways;
+    const Loc mloc = mlcLoc(line);
+    const std::size_t mset = mlcSet(core, mloc.set);
+    std::uint8_t *mmeta = mlcMeta(mset);
+    if (int mw = findWay(&mlc_tags[mset * mways], mmeta, mways, line,
+                         mloc.fp);
+        mw >= 0) {
+        const std::size_t mi = mset * mways + unsigned(mw);
+        mlc_lru[mi] = ++mlc_tick[mset];
+        setmeta::touch(mmeta + mways, mways, unsigned(mw));
         if (is_write)
             mlc_tags[mi] |= std::uint64_t(kDirty) << kFlagShift;
         w.mlc_hit.inc();
@@ -162,14 +270,29 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
     }
     w.mlc_miss.inc();
 
+    // The fill's victim: the first invalid way, else the LRU way.
+    // Nothing below touches this MLC set before the fill, so it is
+    // fixed now; start fetching its LLC set, which the eviction
+    // probes, before the accessed line's LLC lookup.
+    const int inv = setmeta::firstInMask(mmeta, mways, setmeta::kInvalidFp,
+                                         ~std::uint64_t(0));
+    const unsigned victim = inv >= 0 ? unsigned(inv) : mmeta[2 * mways - 1];
+    const std::uint64_t ventry = mlc_tags[mset * mways + victim];
+    Loc vloc{};
+    if (ventry & kValidEntryBit) {
+        vloc = llcLoc(lineOfEntry(ventry));
+        __builtin_prefetch(llcMeta(vloc.set));
+        __builtin_prefetch(&llc_tags[llcIdx(vloc.set, 0)]);
+    }
+
     // LLC lookup.
-    const unsigned set = llcSetOf(line);
+    const Loc loc = llcLoc(line);
     gstats.llc_lookups.inc();
-    if (int lw = llcFindWay(set, line); lw >= 0) {
+    if (int lw = llcFindWay(loc, line); lw >= 0) {
         unsigned way = unsigned(lw);
-        std::size_t li = llcIdx(set, way);
+        std::size_t li = llcIdx(loc.set, way);
         w.llc_hit.inc();
-        touchLlc(set, way);
+        touchLlc(loc.set, way);
 
         std::uint8_t fl = flagsOf(llc_tags[li]);
         const WorkloadId owner = llc_owner[li];
@@ -181,21 +304,23 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
             if (way < geom.firstInclusiveWay()) {
                 // Migrate: vacate this slot, re-allocate inside the
                 // inclusive ways (CLOS-independent).
-                llc_tags[li] = 0;
-                way = llcAlloc(now, set, line, inclusive_mask, owner,
-                               fl, EvictCause::Migration);
-                li = llcIdx(set, way);
+                llcInvalidate(loc.set, way);
+                way = llcAlloc(now, loc, line, inclusive_mask, owner, fl,
+                               EvictCause::Migration);
+                li = llcIdx(loc.set, way);
                 wl(owner).migrated_inclusive.inc();
             }
             llc_tags[li] = pack(line, fl | kInMlc);
             llc_mlc_core[li] = core;
-            mlcInsert(now, core, line, owner, is_write, true);
+            mlcFill(now, core, mset, victim, vloc, line, mloc.fp, owner,
+                    is_write, true);
         } else {
             // Plain victim-cache hit: move to the MLC, drop the LLC
             // copy (non-inclusive exclusivity for non-I/O data).
             const bool dirty = fl & kDirty;
-            llc_tags[li] = 0;
-            mlcInsert(now, core, line, owner, dirty || is_write, false);
+            llcInvalidate(loc.set, way);
+            mlcFill(now, core, mset, victim, vloc, line, mloc.fp, owner,
+                    dirty || is_write, false);
         }
         return {HitLevel::LlcHit, lat.llc_hit_ns};
     }
@@ -204,57 +329,32 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
     w.llc_miss.inc();
     w.mem_read_lines.inc();
     double mem_ns = dram.readLine(now);
-    mlcInsert(now, core, line, wl_id, is_write, false);
+    mlcFill(now, core, mset, victim, vloc, line, mloc.fp, wl_id, is_write,
+            false);
     return {HitLevel::Memory, mem_ns};
 }
 
 void
-CacheSystem::mlcInsert(Tick now, CoreId core, Addr line, WorkloadId owner,
-                       bool dirty, bool io)
+CacheSystem::mlcFill(Tick now, CoreId core, std::size_t mset,
+                     unsigned victim, Loc vloc, Addr line, std::uint8_t fp,
+                     WorkloadId owner, bool dirty, bool io)
 {
-    const unsigned set = mlcSetOf(line);
-    const std::size_t base = mlcIdx(core, set, 0);
-    std::uint32_t &tick = mlc_tick[std::size_t(core) * geom.mlc_sets + set];
-
-    // Refresh in place if already present (defensive; callers normally
-    // only insert on a confirmed MLC miss).
-    if (int mw = mlcFindWay(core, set, line); mw >= 0) {
-        const std::size_t mi = base + unsigned(mw);
-        std::uint8_t fl = flagsOf(mlc_tags[mi]);
-        fl |= kValid | (dirty ? kDirty : 0) | (io ? kIo : 0);
-        mlc_tags[mi] = pack(line, fl);
-        mlc_lru[mi] = ++tick;
-        return;
-    }
-
-    // Pick an invalid way, else the LRU victim.
-    unsigned victim = 0;
-    bool found_invalid = false;
-    std::uint32_t best = 0;
-    for (unsigned w2 = 0; w2 < geom.mlc_ways; ++w2) {
-        if (!(mlc_tags[base + w2] & kValidEntryBit)) {
-            victim = w2;
-            found_invalid = true;
-            break;
-        }
-        if (w2 == 0 || mlc_lru[base + w2] < best) {
-            best = mlc_lru[base + w2];
-            victim = w2;
-        }
-    }
-    const std::size_t vi = base + victim;
-    if (!found_invalid && (mlc_tags[vi] & kValidEntryBit))
-        mlcEvictEntry(now, core, mlc_tags[vi], mlc_owner[vi]);
+    const std::size_t vi = mset * geom.mlc_ways + victim;
+    if (mlc_tags[vi] & kValidEntryBit)
+        mlcEvictEntry(now, core, mlc_tags[vi], vloc, mlc_owner[vi]);
 
     mlc_tags[vi] = pack(line, std::uint8_t(kValid | (dirty ? kDirty : 0) |
                                            (io ? kIo : 0)));
     mlc_owner[vi] = owner;
-    mlc_lru[vi] = ++tick;
+    mlc_lru[vi] = ++mlc_tick[mset];
+    std::uint8_t *meta = mlcMeta(mset);
+    meta[victim] = fp;
+    setmeta::touch(meta + geom.mlc_ways, geom.mlc_ways, victim);
 }
 
 void
 CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry,
-                           WorkloadId owner)
+                           Loc loc, WorkloadId owner)
 {
     const Addr line = lineOfEntry(entry);
     const std::uint8_t fl = flagsOf(entry);
@@ -263,9 +363,8 @@ CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry,
 
     // If the LLC still holds the line (LLC-inclusive), the eviction
     // just downgrades it to LLC-exclusive — no new allocation.
-    const unsigned set = llcSetOf(line);
-    if (int lw = llcFindWay(set, line); lw >= 0) {
-        const std::size_t li = llcIdx(set, unsigned(lw));
+    if (int lw = llcFindWay(loc, line); lw >= 0) {
+        const std::size_t li = llcIdx(loc.set, unsigned(lw));
         std::uint8_t lf = flagsOf(llc_tags[li]);
         lf &= static_cast<std::uint8_t>(~kInMlc);
         if (dirty)
@@ -277,47 +376,45 @@ CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry,
     // Rule 2 (+7): allocate into the LLC inside the core's CLOS mask.
     std::uint8_t nf = std::uint8_t(kValid | (dirty ? kDirty : 0) |
                                    (io ? (kIo | kConsumed) : 0));
-    llcAlloc(now, set, line, cat.maskForCore(core), owner, nf,
+    llcAlloc(now, loc, line, cat.maskForCore(core), owner, nf,
              EvictCause::Capacity);
     if (io)
         wl(owner).bloat_inserts.inc();
 }
 
 void
-CacheSystem::invalidateMlc(CoreId core, Addr line)
+CacheSystem::invalidateMlc(CoreId core, Loc loc, Addr line)
 {
-    const unsigned set = mlcSetOf(line);
-    if (int mw = mlcFindWay(core, set, line); mw >= 0)
-        mlc_tags[mlcIdx(core, set, unsigned(mw))] = 0;
+    if (int mw = mlcFindWay(core, loc, line); mw >= 0) {
+        const std::size_t mset = mlcSet(core, loc.set);
+        mlc_tags[mset * geom.mlc_ways + unsigned(mw)] = 0;
+        mlcMeta(mset)[mw] = setmeta::kInvalidFp;
+    }
 }
 
 // --- LLC allocation / eviction --------------------------------------------------
 
 unsigned
-CacheSystem::llcAlloc(Tick now, unsigned set, Addr line, WayMask mask,
+CacheSystem::llcAlloc(Tick now, Loc loc, Addr line, WayMask mask,
                       WorkloadId owner, std::uint8_t flags,
                       EvictCause cause)
 {
     if (mask == 0)
         panic("llcAlloc: empty way mask");
 
+    const unsigned set = loc.set;
     const std::size_t base = llcIdx(set, 0);
+    std::uint8_t *meta = llcMeta(set);
     int victim = -1;
 
     if (geom.replacement == LlcReplacement::Lru) {
-        std::uint32_t best = 0;
-        for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-            if (!(mask & (1u << w2)))
-                continue;
-            if (!(llc_tags[base + w2] & kValidEntryBit)) {
-                victim = static_cast<int>(w2);
-                break;
-            }
-            if (victim < 0 || llc_lru[base + w2] < best) {
-                best = llc_lru[base + w2];
-                victim = static_cast<int>(w2);
-            }
-        }
+        // The first invalid way inside the mask, else the least
+        // recently used one inside it.
+        victim = setmeta::firstInMask(meta, geom.llc_ways,
+                                      setmeta::kInvalidFp, mask);
+        if (victim < 0)
+            victim = setmeta::lruInMask(meta + geom.llc_ways,
+                                        geom.llc_ways, mask);
     } else {
         // SRRIP: evict the first way at the distant RRPV (3); if
         // none, age every candidate and retry (converges in <= 4
@@ -348,6 +445,7 @@ CacheSystem::llcAlloc(Tick now, unsigned set, Addr line, WayMask mask,
         llcEvictSlot(now, set, w2, cause);
 
     llc_tags[base + w2] = pack(line, flags | kValid);
+    meta[w2] = loc.fp;
     llc_owner[base + w2] = owner;
     llc_mlc_core[base + w2] = 0;
     stampInsertLlc(set, w2);
@@ -381,7 +479,7 @@ CacheSystem::llcEvictSlot(Tick now, unsigned set, unsigned way,
 
     // If an MLC still holds the line it silently becomes MLC-only;
     // the extended directory keeps tracking it (nothing to do here).
-    llc_tags[li] = 0;
+    // The caller overwrites the slot.
 }
 
 // --- device-side paths -------------------------------------------------------------
@@ -394,30 +492,37 @@ CacheSystem::dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
     drainDeferred(now);
     const Addr line = lineOf(addr);
     WorkloadCounters &w = wl(owner);
-    const unsigned set = llcSetOf(line);
+    const Loc loc = llcLoc(line);
+    const int lw = llcFindWay(loc, line);
+
+    // Consumer MLCs are probed only when a copy may linger there.
+    auto invalidateConsumers = [&] {
+        const Loc mloc = mlcLoc(line);
+        for (CoreId c : consumers)
+            invalidateMlc(c, mloc, line);
+    };
 
     if (allocating) {
         w.dma_lines_written.inc();
-        if (int lw = llcFindWay(set, line); lw >= 0) {
+        if (lw >= 0) {
             // Rule 5: write-update in place, wherever the line lives.
-            const std::size_t li = llcIdx(set, unsigned(lw));
+            const std::size_t li = llcIdx(loc.set, unsigned(lw));
             std::uint8_t fl = flagsOf(llc_tags[li]);
             if (fl & kInMlc) {
-                invalidateMlc(llc_mlc_core[li], line);
+                invalidateMlc(llc_mlc_core[li], mlcLoc(line), line);
                 fl &= static_cast<std::uint8_t>(~kInMlc);
             }
             fl |= kDirty | kIo;
             fl &= static_cast<std::uint8_t>(~kConsumed);
             llc_tags[li] = pack(line, fl);
             llc_owner[li] = owner;
-            touchLlc(set, unsigned(lw));
+            touchLlc(loc.set, unsigned(lw));
             w.dma_write_update.inc();
         } else {
             // Stale copies may linger in consumer MLCs (the line was
             // consumed through the memory path after a leak).
-            for (CoreId c : consumers)
-                invalidateMlc(c, line);
-            llcAlloc(now, set, line, dca_mask, owner,
+            invalidateConsumers();
+            llcAlloc(now, loc, line, dca_mask, owner,
                      kValid | kDirty | kIo, EvictCause::DmaAlloc);
             w.dma_write_alloc.inc();
         }
@@ -426,14 +531,13 @@ CacheSystem::dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
         w.dma_nonalloc.inc();
         w.mem_write_lines.inc();
         dram.writeLine(now);
-        if (int lw = llcFindWay(set, line); lw >= 0) {
-            const std::size_t li = llcIdx(set, unsigned(lw));
+        if (lw >= 0) {
+            const std::size_t li = llcIdx(loc.set, unsigned(lw));
             if (flagsOf(llc_tags[li]) & kInMlc)
-                invalidateMlc(llc_mlc_core[li], line);
-            llc_tags[li] = 0;
+                invalidateMlc(llc_mlc_core[li], mlcLoc(line), line);
+            llcInvalidate(loc.set, unsigned(lw));
         } else {
-            for (CoreId c : consumers)
-                invalidateMlc(c, line);
+            invalidateConsumers();
         }
     }
 }
@@ -444,24 +548,24 @@ CacheSystem::dmaReadLine(Tick now, Addr addr, WorkloadId owner,
 {
     drainDeferred(now);
     const Addr line = lineOf(addr);
-    const unsigned set = llcSetOf(line);
+    const Loc loc = llcLoc(line);
 
-    if (int lw = llcFindWay(set, line); lw >= 0) {
-        touchLlc(set, unsigned(lw));
+    if (int lw = llcFindWay(loc, line); lw >= 0) {
+        touchLlc(loc.set, unsigned(lw));
         return true;
     }
 
     // MLC-only data: egress read-allocates a copy in the inclusive
     // ways (rule 9), making the line LLC-inclusive.
+    const Loc mloc = mlcLoc(line);
     for (CoreId c : cores) {
-        const unsigned mset = mlcSetOf(line);
-        if (int mw = mlcFindWay(c, mset, line); mw >= 0) {
+        if (int mw = mlcFindWay(c, mloc, line); mw >= 0) {
             const WorkloadId ml_owner =
-                mlc_owner[mlcIdx(c, mset, unsigned(mw))];
-            unsigned nw = llcAlloc(now, set, line, inclusive_mask,
+                mlc_owner[mlcIdx(c, mloc.set, unsigned(mw))];
+            unsigned nw = llcAlloc(now, loc, line, inclusive_mask,
                                    ml_owner, kValid,
                                    EvictCause::Capacity);
-            const std::size_t li = llcIdx(set, nw);
+            const std::size_t li = llcIdx(loc.set, nw);
             llc_tags[li] |= std::uint64_t(kInMlc) << kFlagShift;
             llc_mlc_core[li] = c;
             gstats.egress_inclusive_alloc.inc();
@@ -480,10 +584,10 @@ CacheSystem::Probe
 CacheSystem::probeLlc(Addr addr) const
 {
     const Addr line = lineOf(addr);
-    const unsigned set = llcSetOf(line);
+    const Loc loc = llcLoc(line);
     Probe p;
-    if (int lw = llcFindWay(set, line); lw >= 0) {
-        const std::size_t li = llcIdx(set, unsigned(lw));
+    if (int lw = llcFindWay(loc, line); lw >= 0) {
+        const std::size_t li = llcIdx(loc.set, unsigned(lw));
         const std::uint8_t fl = flagsOf(llc_tags[li]);
         p.in_llc = true;
         p.way = unsigned(lw);
@@ -500,8 +604,58 @@ bool
 CacheSystem::inMlc(CoreId core, Addr addr) const
 {
     const Addr line = lineOf(addr);
-    return mlcFindWay(core, mlcSetOf(line), line) >= 0;
+    return mlcFindWay(core, mlcLoc(line), line) >= 0;
 }
+
+namespace
+{
+
+/**
+ * Violations of one set's derived metadata: (d) fingerprint bytes
+ * against @p fp_of applied to each valid tag, and, when @p stamps is
+ * non-null, (e) the recency order is a permutation whose valid ways
+ * carry descending stamps (equal stamps: higher way first).
+ */
+template <typename FpOf>
+std::size_t
+auditSetMeta(const std::uint64_t *tags, const std::uint32_t *stamps,
+             const std::uint8_t *meta, unsigned ways,
+             std::uint64_t valid_bit, FpOf fp_of)
+{
+    std::size_t violations = 0;
+    for (unsigned w = 0; w < ways; ++w) {
+        const std::uint8_t want = (tags[w] & valid_bit)
+                                      ? fp_of(tags[w])
+                                      : setmeta::kInvalidFp;
+        if (meta[w] != want)
+            ++violations;
+    }
+    if (stamps == nullptr)
+        return violations;
+
+    const std::uint8_t *order = meta + ways;
+    std::uint64_t seen = 0;
+    int prev = -1;
+    for (unsigned i = 0; i < ways; ++i) {
+        const unsigned w = order[i];
+        if (w >= ways || ((seen >> w) & 1)) {
+            ++violations;
+            continue;
+        }
+        seen |= std::uint64_t(1) << w;
+        if (!(tags[w] & valid_bit))
+            continue;
+        if (prev >= 0) {
+            const std::uint32_t sp = stamps[prev];
+            if (sp < stamps[w] || (sp == stamps[w] && unsigned(prev) < w))
+                ++violations;
+        }
+        prev = static_cast<int>(w);
+    }
+    return violations;
+}
+
+} // namespace
 
 std::size_t
 CacheSystem::auditInvariants() const
@@ -526,11 +680,25 @@ CacheSystem::auditInvariants() const
                 // (c) the registered MLC copy exists.
                 CoreId c = llc_mlc_core[base + w2];
                 if (c >= geom.num_cores ||
-                    mlcFindWay(c, mlcSetOf(lineOfEntry(e)),
-                               lineOfEntry(e)) < 0)
+                    mlcFindWay(c, mlcLoc(lineOfEntry(e)), lineOfEntry(e)) <
+                        0)
                     ++violations;
             }
         }
+        // (d), (e).
+        violations += auditSetMeta(
+            &llc_tags[base],
+            geom.replacement == LlcReplacement::Lru ? &llc_lru[base]
+                                                    : nullptr,
+            llcMeta(s), geom.llc_ways, kValidEntryBit,
+            [this](std::uint64_t e) { return llcLoc(lineOfEntry(e)).fp; });
+    }
+    for (std::size_t ms = 0; ms < mlc_tick.size(); ++ms) {
+        const std::size_t base = ms * geom.mlc_ways;
+        violations += auditSetMeta(
+            &mlc_tags[base], &mlc_lru[base], mlcMeta(ms), geom.mlc_ways,
+            kValidEntryBit,
+            [this](std::uint64_t e) { return mlcLoc(lineOfEntry(e)).fp; });
     }
     return violations;
 }
@@ -657,6 +825,7 @@ CacheSystem::restoreState(Deserializer &d)
         mlc_lru.size() != mlc_n || mlc_owner.size() != mlc_n ||
         mlc_tick.size() != mlc_sets_n)
         throw SnapshotError("CacheSystem: geometry mismatch");
+    rebuildMetadata();
     wl_stats.resize(d.u64());
     for (WorkloadCounters &c : wl_stats)
         restoreCounters(d, c);

@@ -35,27 +35,93 @@
  * 10. CAT masks constrain only new allocations.
  *
  * Implementation note: tag+flags are packed into a single 64-bit word
- * per way ([6 flag bits][58 address bits]) so a set lookup touches one
- * or two host cache lines; LRU stamps and ownership live in parallel
- * cold arrays. This keeps the simulator fast enough to run the paper's
- * full evaluation sweeps.
+ * per way ([6 flag bits][58 address bits]); LRU stamps, owners and
+ * the registered MLC core live in parallel arrays. These arrays are
+ * the authoritative state and the checkpoint image. Every set also
+ * carries derived metadata (cache/setmeta.hh): one fingerprint byte
+ * and one recency-order byte per way, interleaved per set. A lookup
+ * hashes the line once for both the set index and the fingerprint,
+ * compares the set's fingerprints eight at a time and checks full
+ * tags only on a fingerprint match; an LRU victim is the first
+ * invalid way inside the allocation mask, else the last way of the
+ * recency order inside it. The metadata is rebuilt from the tags and
+ * stamps on restore and audited against them (auditInvariants).
  */
 
 #ifndef A4_CACHE_HIERARCHY_HH
 #define A4_CACHE_HIERARCHY_HH
 
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "cache/counters.hh"
 #include "cache/geometry.hh"
+#include "cache/setmeta.hh"
 #include "mem/dram.hh"
 #include "rdt/cat.hh"
 #include "sim/types.hh"
 
 namespace a4
 {
+
+/** Fresh zero-filled anonymous pages for @p bytes bytes; throws
+ *  std::bad_alloc. Pages stay non-resident until written. */
+void *mapZeroedPages(std::size_t bytes);
+/** Return pages obtained from mapZeroedPages(). */
+void unmapPages(void *p, std::size_t bytes) noexcept;
+
+/**
+ * Allocator for the cache's per-way arrays: every array gets its own
+ * fresh anonymous mapping and value-initialisation writes nothing, so
+ * the arrays start zeroed (every way invalid) without touching their
+ * pages. The MLC arrays of a core that never runs then never become
+ * resident, whatever the allocator did with earlier hierarchies.
+ */
+template <typename T>
+struct ZeroedAlloc
+{
+    using value_type = T;
+
+    ZeroedAlloc() = default;
+    template <typename U>
+    ZeroedAlloc(const ZeroedAlloc<U> &) noexcept
+    {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(mapZeroedPages(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        unmapPages(p, n * sizeof(T));
+    }
+
+    /** Value-initialisation: the mapping is already zero. (Other
+     *  constructions fall back to placement new.) */
+    template <typename U>
+    void
+    construct(U *)
+    {
+        static_assert(std::is_trivially_default_constructible_v<U>);
+    }
+
+    template <typename U>
+    bool
+    operator==(const ZeroedAlloc<U> &) const noexcept
+    {
+        return true;
+    }
+};
+
+/** A cache per-way array (see ZeroedAlloc). */
+template <typename T>
+using WayArray = std::vector<T, ZeroedAlloc<T>>;
 
 /** deferredTick() value meaning "no deferred access pending". */
 inline constexpr Tick kNoDeferredIo = ~Tick(0);
@@ -155,7 +221,11 @@ class CacheSystem
      * Audit structural invariants; returns the number of violations
      * (0 when healthy). Checked: (a) no duplicate tags within a set,
      * (b) LLC-inclusive lines reside only in inclusive ways, (c) every
-     * kInMlc line's registered MLC copy actually exists.
+     * kInMlc line's registered MLC copy actually exists, (d) every
+     * way's fingerprint byte matches its tag (kInvalidFp for an
+     * invalid way), (e) every MLC set's recency order — and, under
+     * LRU, every LLC set's — is a permutation of the ways whose valid
+     * ways appear in descending stamp order.
      */
     std::size_t auditInvariants() const;
 
@@ -194,8 +264,20 @@ class CacheSystem
     /** @} */
 
     /** Per-workload counter bank (auto-grows). */
-    WorkloadCounters &wl(WorkloadId id);
-    const WorkloadCounters &wlConst(WorkloadId id) const;
+    WorkloadCounters &
+    wl(WorkloadId id)
+    {
+        if (id >= wl_stats.size()) [[unlikely]]
+            wl_stats.resize(std::size_t(id) + 1);
+        return wl_stats[id];
+    }
+    const WorkloadCounters &
+    wlConst(WorkloadId id) const
+    {
+        if (id >= wl_stats.size()) [[unlikely]]
+            wl_stats.resize(std::size_t(id) + 1);
+        return wl_stats[id];
+    }
 
     GlobalCacheCounters &global() { return gstats; }
     const GlobalCacheCounters &global() const { return gstats; }
@@ -206,7 +288,8 @@ class CacheSystem
     /**
      * @name Snapshot hooks.
      * Tag/LRU/owner arrays go as raw blobs (geometry-checked on
-     * restore); counter banks element-wise. Deferred-source
+     * restore); counter banks element-wise. The derived set metadata
+     * is not saved: restore rebuilds it from the tags and stamps. Deferred-source
      * registration is construction-time wiring and is not saved —
      * each source snapshots its own pending accesses, and
      * next_deferred_ carries the earliest-pending hint across.
@@ -253,8 +336,9 @@ class CacheSystem
     static Addr lineOfEntry(std::uint64_t e) { return e & kAddrMask; }
 
     // --- indexing ---------------------------------------------------------
-    // Inlined: set hashing + tag scan are the fast path of every
-    // simulated access (MLC hits resolve to one hash + one scan).
+    // Inlined: hashing + the fingerprint compare are the fast path of
+    // every simulated access (an MLC hit is one hash, one compare
+    // over the set's fingerprints and one tag check).
 
     static std::uint64_t
     mix(std::uint64_t x)
@@ -268,45 +352,51 @@ class CacheSystem
         return x;
     }
 
-    unsigned
-    llcSetOf(Addr line) const
+    /** Where a line lives in one cache level: one hash yields both. */
+    struct Loc
     {
-        return static_cast<unsigned>(
-            (static_cast<unsigned __int128>(mix(line)) * geom.llc_sets)
-            >> 64);
+        unsigned set;
+        std::uint8_t fp;
+    };
+
+    static Loc
+    locOf(std::uint64_t hash, unsigned sets)
+    {
+        return {static_cast<unsigned>(
+                    (static_cast<unsigned __int128>(hash) * sets) >> 64),
+                setmeta::fpOf(hash)};
     }
 
-    unsigned
-    mlcSetOf(Addr line) const
+    Loc llcLoc(Addr line) const { return locOf(mix(line), geom.llc_sets); }
+
+    Loc
+    mlcLoc(Addr line) const
     {
-        return static_cast<unsigned>(
-            (static_cast<unsigned __int128>(
-                 mix(line ^ 0xA4A4'5EED'0000'0001ull)) *
-             geom.mlc_sets) >> 64);
+        return locOf(mix(line ^ 0xA4A4'5EED'0000'0001ull), geom.mlc_sets);
     }
 
-    /** Way index of @p line in LLC set @p set, or -1. */
-    int
-    llcFindWay(unsigned set, Addr line) const
+    /**
+     * Way holding @p line in a set of @p ways tags whose metadata is
+     * @p meta, or -1. The most recently used way is tried first (a
+     * re-touch is the commonest hit); otherwise full tags are read
+     * only where the fingerprint matches.
+     */
+    static int
+    findWay(const std::uint64_t *tags, const std::uint8_t *meta,
+            unsigned ways, Addr line, std::uint8_t fp)
     {
-        const std::uint64_t *base = &llc_tags[llcIdx(set, 0)];
         const std::uint64_t want = (line & kAddrMask) | kValidEntryBit;
-        for (unsigned w = 0; w < geom.llc_ways; ++w) {
-            if ((base[w] & kMatchMask) == want)
-                return static_cast<int>(w);
-        }
-        return -1;
-    }
-
-    /** Way index of @p line in core's MLC set, or -1. */
-    int
-    mlcFindWay(CoreId core, unsigned set, Addr line) const
-    {
-        const std::uint64_t *base = &mlc_tags[mlcIdx(core, set, 0)];
-        const std::uint64_t want = (line & kAddrMask) | kValidEntryBit;
-        for (unsigned w = 0; w < geom.mlc_ways; ++w) {
-            if ((base[w] & kMatchMask) == want)
-                return static_cast<int>(w);
+        if (const unsigned mru = meta[ways];
+            (tags[mru] & kMatchMask) == want)
+            return static_cast<int>(mru);
+        for (unsigned i = 0; i < ways; i += 8) {
+            for (std::uint64_t z = setmeta::eqLanes(meta + i, ways - i, fp);
+                 z; z &= z - 1) {
+                const unsigned w =
+                    i + static_cast<unsigned>(std::countr_zero(z)) / 8;
+                if ((tags[w] & kMatchMask) == want)
+                    return static_cast<int>(w);
+            }
         }
         return -1;
     }
@@ -316,33 +406,80 @@ class CacheSystem
         return std::size_t(set) * geom.llc_ways + way;
     }
 
+    /** Flat (core, set) index: MLC stamp clocks, and set * ways is
+     *  the set's first entry. */
+    std::size_t mlcSet(CoreId core, unsigned set) const
+    {
+        return std::size_t(core) * geom.mlc_sets + set;
+    }
+
     std::size_t mlcIdx(CoreId core, unsigned set, unsigned way) const
     {
-        return (std::size_t(core) * geom.mlc_sets + set) *
-                   geom.mlc_ways + way;
+        return mlcSet(core, set) * geom.mlc_ways + way;
+    }
+
+    /** A set's metadata: fingerprints at [0, ways), order after. */
+    std::uint8_t *llcMeta(unsigned set)
+    {
+        return &llc_meta[std::size_t(set) * 2 * geom.llc_ways];
+    }
+    const std::uint8_t *llcMeta(unsigned set) const
+    {
+        return &llc_meta[std::size_t(set) * 2 * geom.llc_ways];
+    }
+    std::uint8_t *mlcMeta(std::size_t mset)
+    {
+        return &mlc_meta[mset * 2 * geom.mlc_ways];
+    }
+    const std::uint8_t *mlcMeta(std::size_t mset) const
+    {
+        return &mlc_meta[mset * 2 * geom.mlc_ways];
+    }
+
+    int
+    llcFindWay(Loc loc, Addr line) const
+    {
+        return findWay(&llc_tags[llcIdx(loc.set, 0)], llcMeta(loc.set),
+                       geom.llc_ways, line, loc.fp);
+    }
+
+    int
+    mlcFindWay(CoreId core, Loc loc, Addr line) const
+    {
+        const std::size_t mset = mlcSet(core, loc.set);
+        return findWay(&mlc_tags[mset * geom.mlc_ways], mlcMeta(mset),
+                       geom.mlc_ways, line, loc.fp);
     }
 
     // --- internal operations ----------------------------------------------
     void drainDeferredSlow(Tick now);
     AccessResult coreAccess(Tick now, CoreId core, Addr addr,
                             WorkloadId wl_id, bool is_write);
-    void mlcInsert(Tick now, CoreId core, Addr line, WorkloadId owner,
-                   bool dirty, bool io);
+    /** Fill @p line into way @p victim of MLC set @p mset, evicting
+     *  the resident line (whose LLC location is @p vloc) first. */
+    void mlcFill(Tick now, CoreId core, std::size_t mset, unsigned victim,
+                 Loc vloc, Addr line, std::uint8_t fp, WorkloadId owner,
+                 bool dirty, bool io);
     void mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry,
-                       WorkloadId owner);
-    void invalidateMlc(CoreId core, Addr line);
+                       Loc loc, WorkloadId owner);
+    void invalidateMlc(CoreId core, Loc loc, Addr line);
 
     /**
      * Allocate @p line into the LLC choosing a victim inside @p mask.
      * @return way index used.
      */
-    unsigned llcAlloc(Tick now, unsigned set, Addr line, WayMask mask,
+    unsigned llcAlloc(Tick now, Loc loc, Addr line, WayMask mask,
                       WorkloadId owner, std::uint8_t flags,
                       EvictCause cause);
     void llcEvictSlot(Tick now, unsigned set, unsigned way,
                       EvictCause cause);
+    void llcInvalidate(unsigned set, unsigned way);
     void touchLlc(unsigned set, unsigned way);
     void stampInsertLlc(unsigned set, unsigned way);
+    /** Reset the derived metadata to "every way invalid". */
+    void initMetadata();
+    /** Derive the metadata from the tags and stamps (restore). */
+    void rebuildMetadata();
 
     CacheGeometry geom;
     CacheLatencies lat;
@@ -353,17 +490,21 @@ class CacheSystem
     WayMask inclusive_mask;
 
     // LLC state: hot packed tags, cold metadata.
-    std::vector<std::uint64_t> llc_tags;
-    std::vector<std::uint32_t> llc_lru;
-    std::vector<std::uint16_t> llc_owner;
-    std::vector<std::uint16_t> llc_mlc_core;
-    std::vector<std::uint32_t> llc_tick;
+    WayArray<std::uint64_t> llc_tags;
+    WayArray<std::uint32_t> llc_lru;
+    WayArray<std::uint16_t> llc_owner;
+    WayArray<std::uint16_t> llc_mlc_core;
+    WayArray<std::uint32_t> llc_tick;
 
     // MLC state, flattened across cores.
-    std::vector<std::uint64_t> mlc_tags;
-    std::vector<std::uint32_t> mlc_lru;
-    std::vector<std::uint16_t> mlc_owner;
-    std::vector<std::uint32_t> mlc_tick;
+    WayArray<std::uint64_t> mlc_tags;
+    WayArray<std::uint32_t> mlc_lru;
+    WayArray<std::uint16_t> mlc_owner;
+    WayArray<std::uint32_t> mlc_tick;
+
+    // Derived set metadata (2 bytes per way + setmeta::kTailPad).
+    std::vector<std::uint8_t> llc_meta;
+    std::vector<std::uint8_t> mlc_meta;
 
     mutable std::vector<WorkloadCounters> wl_stats;
     GlobalCacheCounters gstats;

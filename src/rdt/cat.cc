@@ -54,22 +54,22 @@ CatController::assignCore(CoreId core, unsigned clos)
 {
     checkClos(clos);
     if (core >= core_clos.size())
-        fatal(sformat("CAT: core %u out of range", core));
+        coreOutOfRange(core);
     core_clos[core] = clos;
+}
+
+void
+CatController::coreOutOfRange(CoreId core)
+{
+    fatal(sformat("CAT: core %u out of range", core));
 }
 
 unsigned
 CatController::closOfCore(CoreId core) const
 {
     if (core >= core_clos.size())
-        fatal(sformat("CAT: core %u out of range", core));
+        coreOutOfRange(core);
     return core_clos[core];
-}
-
-WayMask
-CatController::maskForCore(CoreId core) const
-{
-    return masks[closOfCore(core)];
 }
 
 void

@@ -67,8 +67,15 @@ class CatController
     /** CLOS a core is associated with (default 0). */
     unsigned closOfCore(CoreId core) const;
 
-    /** Allocation mask in force for a core. */
-    WayMask maskForCore(CoreId core) const;
+    /** Allocation mask in force for a core (inline: the cache's
+     *  victim-allocation path asks once per MLC eviction). */
+    WayMask
+    maskForCore(CoreId core) const
+    {
+        if (core >= core_clos.size()) [[unlikely]]
+            coreOutOfRange(core);
+        return masks[core_clos[core]];
+    }
 
     /** Reset every CLOS to the full mask and all cores to CLOS 0. */
     void resetAll();
@@ -111,6 +118,7 @@ class CatController
 
   private:
     void checkClos(unsigned clos) const;
+    [[noreturn]] static void coreOutOfRange(CoreId core);
 
     unsigned n_ways;
     std::vector<WayMask> masks;

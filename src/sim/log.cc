@@ -43,6 +43,18 @@ fatal(const std::string &msg)
     throw FatalError("fatal: " + msg);
 }
 
+int
+reportCliFailure(const char *prog, const std::exception &e)
+{
+    std::string msg = e.what();
+    for (char &c : msg) {
+        if (c == '\n' || c == '\r')
+            c = ' ';
+    }
+    std::fprintf(stderr, "%s: %s\n", prog, msg.c_str());
+    return 1;
+}
+
 void
 warn(const std::string &msg)
 {

@@ -164,7 +164,8 @@ void
 Deserializer::raw(void *p, std::size_t n)
 {
     need(n);
-    std::memcpy(p, buf_.data() + pos_, n);
+    if (n != 0) // an empty podVec's data() may be null
+        std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;
 }
 

@@ -72,9 +72,9 @@ class Serializer
      * Vector of trivially-copyable scalars as one length-prefixed
      * blob (used for the multi-megabyte cache tag/LRU arrays).
      */
-    template <typename T>
+    template <typename T, typename A>
     void
-    podVec(const std::vector<T> &v)
+    podVec(const std::vector<T, A> &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
         blobHeader(sizeof(T), v.size());
@@ -110,9 +110,9 @@ class Deserializer
     void end(const std::string &name);
 
     /** Read back a podVec(); the stored element size must match. */
-    template <typename T>
+    template <typename T, typename A>
     void
-    podVec(std::vector<T> &v)
+    podVec(std::vector<T, A> &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
         std::size_t count = blobHeader(sizeof(T));

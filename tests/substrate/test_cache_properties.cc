@@ -5,7 +5,10 @@
  * invariants that must hold for every interleaving:
  *
  *  P1. Structural audit is clean (unique tags per set, inclusive
- *      lines only in inclusive ways, registered MLC copies exist).
+ *      lines only in inclusive ways, registered MLC copies exist,
+ *      fingerprint and recency metadata agree with tags and stamps)
+ *      — checked after every batch of the stream, not just at its
+ *      end, in every test.
  *  P2. A workload confined by a CAT mask never owns victim-cache
  *      lines outside its mask plus the inclusive ways (migration and
  *      egress are the only CLOS-independent placements).
@@ -58,11 +61,15 @@ class CacheProperty : public ::testing::TestWithParam<PropertyCase>
         cat->assignCore(0, 1); // workload 1 confined
     }
 
+    /** Operations between two structural audits in drive(). */
+    static constexpr unsigned kAuditBatch = 1000;
+
     /**
-     * Drive a random mixed traffic stream. Each traffic class owns a
-     * disjoint buffer region, as real workloads do — ownership
-     * attribution travels with a line, so sharing addresses across
-     * classes would make per-owner placement claims meaningless.
+     * Drive a random mixed traffic stream, auditing after every
+     * kAuditBatch operations. Each traffic class owns a disjoint
+     * buffer region, as real workloads do — ownership attribution
+     * travels with a line, so sharing addresses across classes would
+     * make per-owner placement claims meaningless.
      */
     void
     drive(std::uint64_t seed, unsigned ops)
@@ -95,6 +102,10 @@ class CacheProperty : public ::testing::TestWithParam<PropertyCase>
               case 5:
                 cache->dmaReadLine(i, kRegion3 + off, 3, core0);
                 break;
+            }
+            if ((i + 1) % kAuditBatch == 0) {
+                ASSERT_EQ(cache->auditInvariants(), 0u)
+                    << "after op " << i;
             }
         }
     }
