@@ -1,10 +1,9 @@
 /**
  * @file
  * a4bench — run declarative grid sweeps (SweepSpec) by name or from a
- * file, through the same Sweep/JobPool runner and --json Record
- * pipeline as every figure bench. All 13 figure/ablation benches are
- * thin wrappers over this driver: `a4bench fig11_xmem_packet_sweep`
- * is byte-identical to `fig11_xmem_packet_sweep`.
+ * file, through the Sweep runner and --json Record pipeline. Every
+ * paper figure and the replacement ablation is a registered sweep
+ * run by name: `a4bench fig11_xmem_packet_sweep`.
  *
  *   a4bench --list                        registered sweeps
  *   a4bench fig11_xmem_packet_sweep       run one by name

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate every paper figure (Fig. 3-15 + the replacement-policy
-# ablation + the memcached demo sweep) through the one a4bench driver
-# (each figure is a registered SweepSpec; the per-figure binaries are
-# thin wrappers over the same registry) and aggregate the per-bench
+# ablation + the non-paper demo sweeps) through the one a4bench driver
+# (each figure is a registered SweepSpec) and aggregate the per-bench
 # JSON results into one BENCH_figures.json perf-trajectory record.
 #
 # By default the sweep windows are compressed (A4_TEST_DURATION_SCALE
@@ -17,7 +16,7 @@
 # "metrics", which stay byte-identical however the points ran).
 #
 # Usage: scripts/figures.sh [build-dir] [output.json]
-#   build-dir     built tree with bench/ binaries (default: build)
+#   build-dir     built tree with bench/a4bench (default: build)
 #   output.json   aggregate destination (default: BENCH_figures.json)
 set -euo pipefail
 

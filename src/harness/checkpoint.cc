@@ -201,7 +201,7 @@ storeWarmupImage(const std::string &path, const std::string &key_text,
     file += payload;
     putU64(file, fnv1a64(payload));
 
-    // Write-temp + rename: concurrent JobPool workers racing on the
+    // Write-temp + rename: concurrent point children racing on the
     // same key each publish a complete image; the last rename wins.
     std::error_code ec;
     std::filesystem::create_directories(

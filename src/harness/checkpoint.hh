@@ -9,8 +9,8 @@
  * arrays, RDT/DDIO registers, device queues, workload actors, the A4
  * daemon — at the exact warm-up boundary and restores it on the next
  * run of an identical (spec, warm-up) pair, skipping the warm-up
- * entirely. Restores happen inside the fork()-per-point JobPool
- * workers too, so one cold point warms the whole grid.
+ * entirely. Restores happen inside the fork()-per-point dispatch
+ * children too, so one cold point warms the whole grid.
  *
  * Keying is content-addressed and conservative: the key text is the
  * canonical serialized spec (minus the measure window, which only

@@ -444,13 +444,29 @@ fig08()
     return s;
 }
 
+/** The Fig. 11/12 projection of the micro mix: X-Mem 1..3 IPC and
+ *  LLC hit rate, then DPDK-T's tail latency and ingress rate. */
+void
+microMetrics(SweepSpec &s)
+{
+    metric(s.metrics, "x1_ipc", "xmem1.ipc");
+    metric(s.metrics, "x1_hit", "xmem1.hit");
+    metric(s.metrics, "x2_ipc", "xmem2.ipc");
+    metric(s.metrics, "x2_hit", "xmem2.hit");
+    metric(s.metrics, "x3_ipc", "xmem3.ipc");
+    metric(s.metrics, "x3_hit", "xmem3.hit");
+    metric(s.metrics, "net_tail_us", "dpdk-t.lat_p99_us");
+    metric(s.metrics, "net_rd_gbps", "dpdk-t.io_rd_gbps");
+}
+
 SweepSpec
 fig11()
 {
     SweepSpec s;
     s.name = "fig11_xmem_packet_sweep";
-    s.record = SweepRecordView::Micro;
+    s.record = SweepRecordView::Select;
     s.base = findScenario("micro")->spec;
+    microMetrics(s);
 
     addAxis(s, "scheme", "scheme", {"Default", "Isolate", "A4-d"});
     addAxis(s, "packet", "dpdk-t.packet_bytes",
@@ -477,8 +493,9 @@ fig12()
 {
     SweepSpec s;
     s.name = "fig12_network_block_sweep";
-    s.record = SweepRecordView::Micro;
+    s.record = SweepRecordView::Select;
     s.base = findScenario("micro")->spec;
+    microMetrics(s);
     s.base.findWorkload("dpdk-t")->set("packet_bytes",
                                        std::uint64_t(1514));
 
@@ -879,15 +896,6 @@ findSweep(const std::string &name)
             return &r;
     }
     return nullptr;
-}
-
-int
-runFigureBench(const std::string &name, int argc, char **argv)
-{
-    const RegisteredSweep *r = findSweep(name);
-    if (r == nullptr)
-        fatal(sformat("no registered sweep '%s'", name.c_str()));
-    return runSweepBench(r->spec, r->name, argc, argv);
 }
 
 std::string

@@ -33,14 +33,6 @@ allSchemes()
     return all;
 }
 
-std::span<const Scheme>
-microSchemes()
-{
-    static const Scheme micro[] = {Scheme::Default, Scheme::Isolate,
-                                   Scheme::A4d};
-    return micro;
-}
-
 std::optional<Scheme>
 schemeFromName(const std::string &name)
 {
@@ -139,30 +131,6 @@ scenarioResultFromSpec(const SpecResult &sr)
     return res;
 }
 
-MicroResult
-microResultFromSpec(const SpecResult &sr)
-{
-    MicroResult res;
-    for (unsigned v = 0; v < 3; ++v) {
-        const SpecWorkloadResult *x =
-            sr.find(sformat("xmem%u", v + 1));
-        if (x == nullptr)
-            fatal(sformat("microResultFromSpec: needs the canonical "
-                          "micro mix (no 'xmem%u' workload)", v + 1));
-        res.xmem_ipc[v] = x->ipc;
-        res.xmem_hit[v] = x->llc_hit_rate;
-    }
-    const SpecWorkloadResult *dpdk = sr.find("dpdk-t");
-    if (dpdk == nullptr)
-        fatal("microResultFromSpec: needs the canonical micro mix "
-              "(no 'dpdk-t' workload)");
-    res.net_tail_us = dpdk->tail_latency_us;
-    res.net_rd_gbps = dpdk->ingress_bytes * 1e9 /
-                      double(sr.measure_window) * sr.scale / 1e9;
-    res.past_events = sr.past_events;
-    return res;
-}
-
 ScenarioResult
 runRealWorldScenario(bool hpw_heavy, Scheme scheme,
                      const ScenarioOptions &opt)
@@ -173,44 +141,6 @@ runRealWorldScenario(bool hpw_heavy, Scheme scheme,
     spec.scheme = scheme;
     spec.a4 = opt.a4_override;
     return scenarioResultFromSpec(runSpecWithWindows(spec, opt.windows));
-}
-
-MicroResult
-runMicroScenario(Scheme scheme, unsigned packet_bytes,
-                 std::uint64_t storage_block, const ScenarioOptions &opt)
-{
-    ScenarioSpec spec = microSpec(packet_bytes, storage_block);
-    spec.scheme = scheme;
-    spec.a4 = opt.a4_override;
-    return microResultFromSpec(runSpecWithWindows(spec, opt.windows));
-}
-
-Record
-toRecord(const MicroResult &r)
-{
-    Record rec;
-    for (unsigned v = 0; v < 3; ++v) {
-        rec.set(sformat("x%u_ipc", v + 1), r.xmem_ipc[v]);
-        rec.set(sformat("x%u_hit", v + 1), r.xmem_hit[v]);
-    }
-    rec.set("net_tail_us", r.net_tail_us);
-    rec.set("net_rd_gbps", r.net_rd_gbps);
-    rec.set("past_events", r.past_events);
-    return rec;
-}
-
-MicroResult
-microResultFrom(const Record &rec)
-{
-    MicroResult r;
-    for (unsigned v = 0; v < 3; ++v) {
-        r.xmem_ipc[v] = rec.num(sformat("x%u_ipc", v + 1));
-        r.xmem_hit[v] = rec.num(sformat("x%u_hit", v + 1));
-    }
-    r.net_tail_us = rec.num("net_tail_us");
-    r.net_rd_gbps = rec.num("net_rd_gbps");
-    r.past_events = rec.num("past_events");
-    return r;
 }
 
 Record

@@ -1,9 +1,11 @@
 /**
  * @file
  * The paper's evaluation scenarios (§7) as reusable harness pieces:
- * the microbenchmark co-run (Fig. 11/12) and the real-world HPW-heavy
- * / LPW-heavy mixes (Fig. 13/14/15), each runnable under every
- * management scheme (Default, Isolate, A4-a..d).
+ * the management schemes and the real-world HPW-heavy / LPW-heavy
+ * mixes (Fig. 13/14/15), runnable under every scheme (Default,
+ * Isolate, A4-a..d). The microbenchmark co-run (Fig. 11/12) is the
+ * registered `micro` spec, projected by its sweeps' record=select
+ * metrics.
  */
 
 #ifndef A4_HARNESS_SCENARIOS_HH
@@ -33,9 +35,6 @@ const char *schemeName(Scheme s);
 
 /** All evaluated schemes, in bench display order. */
 std::span<const Scheme> allSchemes();
-
-/** The microbenchmark subset (Fig. 11/12): Default/Isolate/A4-d. */
-std::span<const Scheme> microSchemes();
 
 /** Inverse of schemeName(); nullopt for unknown names. */
 std::optional<Scheme> schemeFromName(const std::string &name);
@@ -120,27 +119,7 @@ struct ScenarioOptions
 ScenarioResult runRealWorldScenario(bool hpw_heavy, Scheme scheme,
                                     const ScenarioOptions &opt = {});
 
-/** Per-X-Mem outcome of the microbenchmark co-run (Fig. 11/12). */
-struct MicroResult
-{
-    double xmem_ipc[3] = {0, 0, 0};
-    double xmem_hit[3] = {0, 0, 0};
-    double net_tail_us = 0.0;
-    double net_rd_gbps = 0.0; ///< network ingress, paper-equivalent
-    double past_events = 0.0; ///< see ScenarioResult::past_events
-};
-
-/**
- * Run the §7.1 microbenchmark co-run: DPDK-T (HPW) + FIO (LPW) +
- * X-Mem 1 (HPW) / 2 (LPW) / 3 (LPW).
- */
-MicroResult runMicroScenario(Scheme scheme, unsigned packet_bytes,
-                             std::uint64_t storage_block,
-                             const ScenarioOptions &opt = {});
-
-/** @name Sweep-pipe codecs for the scenario result structs. @{ */
-Record toRecord(const MicroResult &r);
-MicroResult microResultFrom(const Record &r);
+/** @name Sweep-pipe codec for ScenarioResult. @{ */
 Record toRecord(const ScenarioResult &r);
 ScenarioResult scenarioResultFrom(const Record &r);
 /** @} */

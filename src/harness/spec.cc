@@ -536,7 +536,7 @@ serializeA4(std::ostringstream &out, const A4Params &p)
 }
 
 /** Default A4 parameters for scenario runs (compressed intervals) —
- *  the historical runMicroScenario/runRealWorldScenario values. */
+ *  the values the paper's §7 scenario runners always used. */
 A4Params
 scenarioA4Defaults()
 {
@@ -2059,7 +2059,6 @@ viewName(SweepRecordView v)
 {
     switch (v) {
       case SweepRecordView::Spec: return "spec";
-      case SweepRecordView::Micro: return "micro";
       case SweepRecordView::Scenario: return "scenario";
       case SweepRecordView::Select: return "select";
     }
@@ -2070,8 +2069,8 @@ bool
 viewFromName(const std::string &s, SweepRecordView &out)
 {
     for (SweepRecordView v :
-         {SweepRecordView::Spec, SweepRecordView::Micro,
-          SweepRecordView::Scenario, SweepRecordView::Select}) {
+         {SweepRecordView::Spec, SweepRecordView::Scenario,
+          SweepRecordView::Select}) {
         if (s == viewName(v)) {
             out = v;
             return true;
@@ -2097,6 +2096,29 @@ applySweepAssignment(ScenarioSpec &working, const std::string &key,
         return;
     }
     applyAssignment(working, key, value, origin, line);
+}
+
+/** Apply `<axis>.labels` or `<axis>.labels.<set>` (@p sub) to @p a;
+ *  false when @p sub names neither. */
+bool
+setAxisLabels(SweepAxis &a, const std::string &sub,
+              const std::string &value)
+{
+    if (sub == "labels") {
+        a.labels = splitList(value, ',');
+        return true;
+    }
+    if (sub.rfind("labels.", 0) != 0)
+        return false;
+    const std::string set = sub.substr(7);
+    for (auto &ls : a.label_sets) {
+        if (ls.first == set) {
+            ls.second = splitList(value, ',');
+            return true;
+        }
+    }
+    a.label_sets.emplace_back(set, splitList(value, ','));
+    return true;
 }
 
 /** Known record=select metric fields. */
@@ -2284,7 +2306,7 @@ sweepSubstitute(const SweepSpec &spec, const std::string &tmpl,
                 specErr(origin, line,
                         sformat("'{%s:%s}': axis '%s' has no label "
                                 "set '%s' (overriding %s.values drops "
-                                "size-mismatched label sets — override "
+                                "its label sets — override "
                                 "%s.labels.%s too)", ref.c_str(),
                                 set.c_str(), ref.c_str(), set.c_str(),
                                 ref.c_str(), ref.c_str(), set.c_str()));
@@ -2482,10 +2504,6 @@ sweepRecordHasKey(const SweepSpec &spec, const SweepGrid &g,
         }
         return false;
       }
-      case SweepRecordView::Micro:
-        return fixed({"x1_ipc", "x1_hit", "x2_ipc", "x2_hit", "x3_ipc",
-                      "x3_hit", "net_tail_us", "net_rd_gbps",
-                      "past_events"});
       case SweepRecordView::Scenario:
         return perWorkload() ||
                fixed({"workloads", "fc_nic_to_host_us",
@@ -2925,7 +2943,7 @@ parseSweepSpec(const std::string &text, const std::string &origin)
             if (!viewFromName(value, spec.record))
                 specErr(origin, line,
                         sformat("unknown record view '%s' (want spec, "
-                                "micro, scenario, or select)",
+                                "scenario, or select)",
                                 value.c_str()));
             continue;
         }
@@ -3087,22 +3105,7 @@ parseSweepSpec(const std::string &text, const std::string &origin)
             } else if (sub == "range") {
                 a->values = expandRange(value, origin, line);
                 a->range = value;
-            } else if (sub == "labels") {
-                a->labels = splitList(value, ',');
-            } else if (sub.rfind("labels.", 0) == 0) {
-                const std::string set = sub.substr(7);
-                bool replaced = false;
-                for (auto &ls : a->label_sets) {
-                    if (ls.first == set) {
-                        ls.second = splitList(value, ',');
-                        replaced = true;
-                        break;
-                    }
-                }
-                if (!replaced)
-                    a->label_sets.emplace_back(set,
-                                               splitList(value, ','));
-            } else {
+            } else if (!setAxisLabels(*a, sub, value)) {
                 specErr(origin, line,
                         sformat("unknown axis key '%s.%s' (want key, "
                                 "values, range, labels, or "
@@ -3303,6 +3306,14 @@ applySweepOverrides(SweepSpec &spec,
                     const std::vector<std::string> &assignments,
                     const std::string &origin)
 {
+    // Label overrides land after every values/range redefinition in
+    // the batch, so they survive it whichever order they came in.
+    struct LabelOverride
+    {
+        SweepAxis *axis;
+        std::string sub, value;
+    };
+    std::vector<LabelOverride> labels;
     for (const std::string &assignment : assignments) {
         const std::size_t eq = assignment.find('=');
         if (eq == std::string::npos)
@@ -3343,46 +3354,26 @@ applySweepOverrides(SweepSpec &spec,
                           origin.c_str(), prefix.c_str(), key.c_str()));
         if (sub == "key") {
             a->key = value;
-        } else if (sub == "values") {
-            a->values = splitList(value, ',');
-            a->range.clear();
-            // Redefined values invalidate any parallel label lists;
-            // names fall back to the values unless labels are also
-            // overridden in the same batch.
-            if (a->labels.size() != a->values.size())
-                a->labels.clear();
-            for (auto it = a->label_sets.begin();
-                 it != a->label_sets.end();) {
-                if (it->second.size() != a->values.size())
-                    it = a->label_sets.erase(it);
-                else
-                    ++it;
-            }
-        } else if (sub == "range") {
-            a->values = expandRange(value, origin, 0);
-            a->range = value;
+        } else if (sub == "values" || sub == "range") {
+            // Redefined values invalidate every parallel label list,
+            // whatever its length: names fall back to the values
+            // unless labels are also overridden in the same batch.
+            const bool list = sub == "values";
+            a->values = list ? splitList(value, ',')
+                             : expandRange(value, origin, 0);
+            a->range = list ? "" : value;
             a->labels.clear();
             a->label_sets.clear();
-        } else if (sub == "labels") {
-            a->labels = splitList(value, ',');
-        } else if (sub.rfind("labels.", 0) == 0) {
-            const std::string set = sub.substr(7);
-            bool replaced = false;
-            for (auto &ls : a->label_sets) {
-                if (ls.first == set) {
-                    ls.second = splitList(value, ',');
-                    replaced = true;
-                    break;
-                }
-            }
-            if (!replaced)
-                a->label_sets.emplace_back(set, splitList(value, ','));
+        } else if (sub == "labels" || sub.rfind("labels.", 0) == 0) {
+            labels.push_back({a, sub, value});
         } else {
             fatal(sformat("%s: unknown axis key '%s' (want key, "
                           "values, range, labels, or labels.<set>)",
                           origin.c_str(), key.c_str()));
         }
     }
+    for (const LabelOverride &l : labels)
+        setAxisLabels(*l.axis, l.sub, l.value);
     validateSweepSpec(spec, origin);
 }
 

@@ -18,9 +18,9 @@
  * the scheme, runs the warm-up/measure protocol, and returns a
  * SpecResult with per-workload metrics. The paper's evaluation
  * scenarios (§7) are canonical specs in the named ScenarioRegistry —
- * runMicroScenario()/runRealWorldScenario() are thin converters on
- * top of runSpec() and remain byte-identical to their historical
- * hand-wired implementations — and the registry also carries mixes
+ * runRealWorldScenario() is a thin converter on top of runSpec() and
+ * remains byte-identical to its historical hand-wired
+ * implementation — and the registry also carries mixes
  * the paper never ran; `a4sim` drives any of them from the command
  * line.
  *
@@ -425,7 +425,7 @@ struct SweepOutput
 };
 
 /** How a point's SpecResult becomes its sweep Record. */
-enum class SweepRecordView { Spec, Micro, Scenario, Select };
+enum class SweepRecordView { Spec, Scenario, Select };
 
 /** A complete declarative grid sweep. */
 struct SweepSpec
@@ -460,9 +460,11 @@ std::string serializeSweepSpec(const SweepSpec &spec);
 /**
  * Apply `--set` overrides to a sweep: `base.<spec line>` edits the
  * base scenario, `<axis>.values=` / `<axis>.labels=` / `<axis>.key=`
- * / `<axis>.range=` redefine an axis, `record=` the view. The batch
- * applies before the sweep revalidates. Fatal (naming @p origin) on
- * unknown targets or malformed values.
+ * / `<axis>.range=` redefine an axis, `record=` the view. A values or
+ * range override drops the axis's labels and label sets; label
+ * overrides in the same batch apply after it, in either order. The
+ * batch applies before the sweep revalidates. Fatal (naming
+ * @p origin) on unknown targets or malformed values.
  */
 void applySweepOverrides(SweepSpec &spec,
                          const std::vector<std::string> &assignments,
@@ -508,13 +510,10 @@ double evalSweepMetric(const SpecResult &r, const std::string &expr);
 /** True when @p expr names a known metric field. */
 bool validSweepMetricExpr(const std::string &expr);
 
-/** @name MicroResult / ScenarioResult views of a SpecResult.
- *  Exactly the historical runMicroScenario / runRealWorldScenario
- *  restatements (bit-identical arithmetic); the workload names must
- *  match the canonical micro / realworld specs. @{ */
-MicroResult microResultFromSpec(const SpecResult &sr);
+/** ScenarioResult view of a SpecResult: exactly the historical
+ *  runRealWorldScenario restatement (bit-identical arithmetic); the
+ *  workload names must match the canonical realworld specs. */
 ScenarioResult scenarioResultFromSpec(const SpecResult &sr);
-/** @} */
 
 } // namespace a4
 

@@ -1,6 +1,8 @@
 #include "harness/sweep.hh"
 
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cmath>
 #include <exception>
 #include <cstdio>
@@ -235,17 +237,29 @@ optValue(const std::string &bench, int argc, char **argv, int &i,
     return false;
 }
 
+/** A worker count: a whole decimal number in [1, UINT_MAX]. */
+std::optional<unsigned>
+parseWorkerCount(const char *s)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long long v = std::strtoll(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE || v < 1 ||
+        v > UINT_MAX)
+        return std::nullopt;
+    return unsigned(v);
+}
+
 unsigned
 parseJobs(const std::string &bench, const std::string &val)
 {
-    char *end = nullptr;
-    long v = std::strtol(val.c_str(), &end, 10);
-    if (!end || *end != '\0' || v < 1) {
+    const std::optional<unsigned> v = parseWorkerCount(val.c_str());
+    if (!v) {
         std::fprintf(stderr, "%s: bad --jobs value '%s'\n",
                      bench.c_str(), val.c_str());
         usage(bench, 2);
     }
-    return unsigned(v);
+    return *v;
 }
 
 } // namespace
@@ -300,10 +314,8 @@ SweepOptions::effectiveJobs() const
     if (jobs)
         return jobs;
     if (const char *env = std::getenv("A4_JOBS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && v >= 1)
-            return unsigned(v);
+        if (const std::optional<unsigned> v = parseWorkerCount(env))
+            return *v;
         // stderr, not warn(): benches run quiet (see
         // warnOncePerValue in sim/log.hh for the rationale).
         std::fprintf(stderr,
@@ -607,9 +619,6 @@ pointRecord(const ScenarioSpec &point_spec, SweepRecordView view,
     SpecResult r = runSpec(point_spec);
     Record rec;
     switch (view) {
-      case SweepRecordView::Micro:
-        rec = toRecord(microResultFromSpec(r));
-        break;
       case SweepRecordView::Scenario:
         rec = toRecord(scenarioResultFromSpec(r));
         break;

@@ -7,9 +7,9 @@
  * runs (scheme x packet size x block size x ...). A bench declares
  * each grid point once with add(), calls run(), and then renders its
  * tables from the collected Records; the runner shards the points
- * over a fork()-per-point JobPool and reassembles the rows in
- * declaration order, so the printed tables are byte-identical to a
- * sequential run no matter how many workers raced.
+ * over the Dispatcher's fork()-per-point lanes and reassembles the
+ * rows in declaration order, so the printed tables are byte-identical
+ * to a sequential run no matter how many workers raced.
  *
  * All benches share one CLI (parsed by the Sweep constructor):
  *
@@ -193,8 +193,8 @@ class Sweep
  * Declare every expanded point of @p spec on @p sw: the point
  * function resolves the grid coordinates into a ScenarioSpec, runs
  * it, and converts the SpecResult through the sweep's record view
- * (spec / micro / scenario / the record=select metric projection).
- * JobPool sharding, hex-float reassembly, and the shared CLI all
+ * (spec / scenario / the record=select metric projection).
+ * Dispatcher sharding, hex-float reassembly, and the shared CLI all
  * apply unchanged.
  */
 void expandSweep(const SweepSpec &spec, Sweep &sw);

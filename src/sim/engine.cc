@@ -1,8 +1,6 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "sim/log.hh"
@@ -11,118 +9,10 @@
 namespace a4
 {
 
-Engine::Engine(QueueMode mode) : mode_(mode)
-{
-    if (mode_ == QueueMode::Wheel)
-        wheel_ = std::make_unique<Wheel>();
-}
-
-QueueMode
-Engine::queueModeFromEnv()
-{
-    const char *env = std::getenv("A4_ENGINE_QUEUE");
-    if (env == nullptr || *env == '\0' ||
-        std::strcmp(env, "heap") == 0)
-        return QueueMode::Heap;
-    if (std::strcmp(env, "wheel") == 0)
-        return QueueMode::Wheel;
-    static std::string warned;
-    warnOncePerValue(warned, env,
-                     "warning: A4_ENGINE_QUEUE: ignoring malformed "
-                     "value '%s' (want heap or wheel)\n");
-    return QueueMode::Heap;
-}
-
-// --------------------------------------------------------------------
-// Timing wheel (see the structure note in engine.hh).
-
 void
-Engine::wheelPush(const QueuedEvent &ev)
+Engine::pushPending(const QueuedEvent &ev)
 {
-    Wheel &w = *wheel_;
-    const Tick t = whenOf(ev);
-    ++w.count;
-    if (t < w.base) {
-        w.under.push_back(ev);
-        std::push_heap(w.under.begin(), w.under.end(), Later{});
-        return;
-    }
-    const std::uint64_t diff = t ^ w.base;
-    const unsigned level =
-        diff == 0 ? 0u
-                  : static_cast<unsigned>(63 - __builtin_clzll(diff)) /
-                        8u;
-    const unsigned slot = (t >> (8 * level)) & 0xFF;
-    auto &v = w.slots[level][slot];
-    v.push_back(ev);
-    std::push_heap(v.begin(), v.end(), Later{});
-}
-
-bool
-Engine::wheelPop(QueuedEvent &out)
-{
-    Wheel &w = *wheel_;
-    if (w.count == 0)
-        return false;
-
-    auto extract = [&](std::vector<QueuedEvent> &v) {
-        std::pop_heap(v.begin(), v.end(), Later{});
-        out = v.back();
-        v.pop_back();
-        --w.count;
-    };
-
-    // Under-floor strays first: their ticks are strictly below every
-    // wheel tick, so when present the global minimum is here.
-    if (!w.under.empty()) {
-        extract(w.under);
-        return true;
-    }
-
-    for (;;) {
-        // Level 0: events share all upper bytes with the floor, so
-        // the first occupied slot at or past byte0(base) holds the
-        // minimum tick (higher levels hold strictly larger ticks).
-        for (unsigned s = w.base & 0xFF; s < Wheel::kSlots; ++s) {
-            auto &v = w.slots[0][s];
-            if (v.empty())
-                continue;
-            extract(v);
-            // Remaining level-0 events sit in this slot or later
-            // ones, so the floor may advance to the extracted tick
-            // (its upper bytes match the old floor's).
-            w.base = whenOf(out);
-            return true;
-        }
-        // Cascade: the minimum now lives in the first occupied slot
-        // past byte_l(base) at the lowest occupied level. Advance the
-        // floor to that slot's own floor (lower bytes zeroed) and
-        // re-insert its events; each lands at a level below l.
-        bool cascaded = false;
-        for (unsigned l = 1; l < Wheel::kLevels && !cascaded; ++l) {
-            const unsigned from =
-                static_cast<unsigned>((w.base >> (8 * l)) & 0xFF) + 1;
-            for (unsigned s = from; s < Wheel::kSlots; ++s) {
-                auto &v = w.slots[l][s];
-                if (v.empty())
-                    continue;
-                const Tick upper =
-                    l + 1 < 8 ? w.base &
-                                    ~((Tick(1) << (8 * (l + 1))) - 1)
-                              : 0;
-                w.base = upper | (Tick(s) << (8 * l));
-                std::vector<QueuedEvent> moved;
-                moved.swap(v);
-                w.count -= moved.size();
-                for (const QueuedEvent &mv : moved)
-                    wheelPush(mv);
-                cascaded = true;
-                break;
-            }
-        }
-        if (!cascaded)
-            panic("Engine: timing wheel lost a pending event");
-    }
+    queue.push(ev);
 }
 
 void
@@ -164,9 +54,7 @@ Engine::runUntil(Tick when)
         // Refill the front cache from the container before running
         // the callback; anything it schedules re-enters through
         // enqueue().
-        if (wheel_) {
-            has_front = wheelPop(front);
-        } else if (!queue.empty()) {
+        if (!queue.empty()) {
             front = queue.top();
             queue.pop();
         } else {
@@ -236,17 +124,8 @@ Engine::saveBegin(Serializer &s)
     };
     if (has_front)
         note(front);
-    if (wheel_) {
-        for (const QueuedEvent &ev : wheel_->under)
-            note(ev);
-        for (const auto &level : wheel_->slots)
-            for (const auto &slot : level)
-                for (const QueuedEvent &ev : slot)
-                    note(ev);
-    } else {
-        for (const QueuedEvent &ev : Access::container(queue))
-            note(ev);
-    }
+    for (const QueuedEvent &ev : Access::container(queue))
+        note(ev);
     for (auto &[slot, keys] : save_index_)
         std::sort(keys.begin(), keys.end());
 

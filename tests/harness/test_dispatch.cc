@@ -24,7 +24,6 @@
 #include <unistd.h>
 
 #include "harness/dispatch.hh"
-#include "harness/jobpool.hh"
 #include "harness/spec.hh"
 #include "harness/sweep.hh"
 #include "harness/worker.hh"
@@ -214,27 +213,26 @@ TEST(Dispatch, EnvKnobParsers)
     }
 }
 
-TEST(JobPool, FaultInjectedCrashMatchesInProcessRun)
+TEST(LocalDispatch, FaultInjectedCrashMatchesInProcessRun)
 {
     auto label = [](std::size_t i) { return "jp" + std::to_string(i); };
-    std::vector<std::string> reference = JobPool(1).run(
-        5, trivialPayload, label);
+    std::vector<std::string> reference =
+        Dispatcher(localConfig(1)).run(5, trivialPayload, label);
     ScopedEnv fault("A4_FAULT", "crash:jp3");
-    JobPool pool(3);
-    EXPECT_EQ(pool.run(5, trivialPayload, label), reference);
-    EXPECT_EQ(pool.stats().retries, 1u);
+    Dispatcher d(localConfig(3));
+    EXPECT_EQ(d.run(5, trivialPayload, label), reference);
+    EXPECT_EQ(d.stats().retries, 1u);
 }
 
-TEST(JobPool, FaultInjectionDoesNotApplyInProcess)
+TEST(LocalDispatch, FaultInjectionDoesNotApplyInProcess)
 {
-    // max_jobs == 1 is the clean reference path: no forks, no frames,
-    // no faults — a crash clause for its points must be inert.
+    // local_slots == 1 is the clean reference path: no forks, no
+    // frames, no faults — a crash clause for its points must be inert.
     ScopedEnv fault("A4_FAULT", "crash:jp0");
     auto label = [](std::size_t i) { return "jp" + std::to_string(i); };
-    JobPool pool(1);
-    EXPECT_EQ(pool.run(2, trivialPayload, label)[0],
-              trivialPayload(0));
-    EXPECT_EQ(pool.stats().retries, 0u);
+    Dispatcher d(localConfig(1));
+    EXPECT_EQ(d.run(2, trivialPayload, label)[0], trivialPayload(0));
+    EXPECT_EQ(d.stats().retries, 0u);
 }
 
 // ----------------------------------------------------------------

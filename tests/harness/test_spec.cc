@@ -225,35 +225,43 @@ TEST(Spec, KindMetadata)
 TEST(Spec, MicroSpecMatchesLegacyRunnerBitExactly)
 {
     // The fig11 1024 B / 2 MiB point at compressed windows: the
-    // legacy API and a spec that went through the text codec must
-    // produce bit-identical Records.
+    // Fig. 11/12 projection the legacy micro runner computed by hand
+    // from a direct run must equal fig11's record=select expressions
+    // evaluated on a spec that went through the text codec.
     const Windows win = tinyWindows();
 
-    ScenarioOptions opt;
-    opt.windows = win;
-    MicroResult legacy =
-        runMicroScenario(Scheme::Default, 1024, 2 * kMiB, opt);
-
-    ScenarioSpec spec = parseSpec(serializeSpec(microSpec(1024, 2 * kMiB)));
-    SpecResult sr = runSpecWithWindows(spec, win);
-
-    MicroResult from_spec;
-    for (unsigned v = 0; v < 3; ++v) {
-        const SpecWorkloadResult *x =
-            sr.find(sformat("xmem%u", v + 1));
+    const SpecResult direct =
+        runSpecWithWindows(microSpec(1024, 2 * kMiB), win);
+    Record legacy;
+    for (unsigned v = 1; v <= 3; ++v) {
+        const SpecWorkloadResult *x = direct.find(sformat("xmem%u", v));
         ASSERT_NE(x, nullptr);
-        from_spec.xmem_ipc[v] = x->ipc;
-        from_spec.xmem_hit[v] = x->llc_hit_rate;
+        legacy.set(sformat("x%u_ipc", v), x->ipc);
+        legacy.set(sformat("x%u_hit", v), x->llc_hit_rate);
     }
-    const SpecWorkloadResult *dpdk = sr.find("dpdk-t");
+    const SpecWorkloadResult *dpdk = direct.find("dpdk-t");
     ASSERT_NE(dpdk, nullptr);
-    from_spec.net_tail_us = dpdk->tail_latency_us;
-    from_spec.net_rd_gbps = dpdk->ingress_bytes * 1e9 /
-                            double(win.measure) * sr.scale / 1e9;
-    from_spec.past_events = sr.past_events;
+    legacy.set("net_tail_us", dpdk->tail_latency_us);
+    legacy.set("net_rd_gbps", dpdk->ingress_bytes * 1e9 /
+                                  double(win.measure) * direct.scale /
+                                  1e9);
+    legacy.set("past_events", direct.past_events);
 
-    EXPECT_EQ(toRecord(legacy).serialize(),
-              toRecord(from_spec).serialize());
+    const ScenarioSpec spec =
+        parseSpec(serializeSpec(microSpec(1024, 2 * kMiB)));
+    const SpecResult sr = runSpecWithWindows(spec, win);
+    Record selected;
+    for (unsigned v = 1; v <= 3; ++v) {
+        selected.set(sformat("x%u_ipc", v),
+                     evalSweepMetric(sr, sformat("xmem%u.ipc", v)));
+        selected.set(sformat("x%u_hit", v),
+                     evalSweepMetric(sr, sformat("xmem%u.hit", v)));
+    }
+    selected.set("net_tail_us", evalSweepMetric(sr, "dpdk-t.lat_p99_us"));
+    selected.set("net_rd_gbps", evalSweepMetric(sr, "dpdk-t.io_rd_gbps"));
+    selected.set("past_events", sr.past_events);
+
+    EXPECT_EQ(legacy.serialize(), selected.serialize());
 }
 
 TEST(Spec, RealWorldSpecMatchesLegacyRunnerBitExactly)

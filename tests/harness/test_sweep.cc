@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the sweep-runner subsystem: the Record pipe codec, the
- * fork()-per-point JobPool, and the Sweep grid API. The load-bearing
- * property is determinism — a parallel run must reproduce the
- * in-process run bit for bit — plus declaration-order reassembly and
- * loud worker-failure propagation.
+ * Dispatcher's fork()-per-point local lanes, and the Sweep grid API.
+ * The load-bearing property is determinism — a parallel run must
+ * reproduce the in-process run bit for bit — plus declaration-order
+ * reassembly and loud worker-failure propagation.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +13,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <thread>
 
 #include <unistd.h>
 
 #include "harness/builders.hh"
-#include "harness/jobpool.hh"
+#include "harness/dispatch.hh"
 #include "harness/scenarios.hh"
 #include "harness/sweep.hh"
 
@@ -25,6 +26,18 @@ using namespace a4;
 
 namespace
 {
+
+/** Run @p n jobs on @p slots local lanes (1 = in-process). */
+std::vector<std::string>
+runLocal(unsigned slots, std::size_t n,
+         const std::function<std::string(std::size_t)> &fn,
+         const std::function<std::string(std::size_t)> &label)
+{
+    DispatchConfig dc;
+    dc.bench = "test";
+    dc.local_slots = slots;
+    return Dispatcher(std::move(dc)).run(n, fn, label);
+}
 
 SweepOptions
 optsWithJobs(unsigned jobs)
@@ -110,21 +123,16 @@ TEST(Record, PreservesEntryOrder)
     EXPECT_EQ(back.entries()[2].key, "m");
 }
 
-TEST(JobPool, ForkedMatchesInProcess)
+TEST(LocalDispatch, ForkedMatchesInProcess)
 {
     auto fn = [](std::size_t i) {
         return "payload-" + std::to_string(i * i);
     };
     auto label = [](std::size_t i) { return std::to_string(i); };
-
-    JobPool serial(1);
-    JobPool parallel(4);
-    auto a = serial.run(9, fn, label);
-    auto b = parallel.run(9, fn, label);
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(runLocal(1, 9, fn, label), runLocal(4, 9, fn, label));
 }
 
-TEST(JobPool, ReassemblesInSubmissionOrder)
+TEST(LocalDispatch, ReassemblesInSubmissionOrder)
 {
     // Earlier jobs sleep longer, so with 4 workers the completion
     // order is roughly the reverse of the submission order.
@@ -133,14 +141,13 @@ TEST(JobPool, ReassemblesInSubmissionOrder)
         return "job-" + std::to_string(i);
     };
     auto label = [](std::size_t i) { return std::to_string(i); };
-    JobPool pool(4);
-    auto out = pool.run(8, fn, label);
+    auto out = runLocal(4, 8, fn, label);
     ASSERT_EQ(out.size(), 8u);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(out[i], "job-" + std::to_string(i));
 }
 
-TEST(JobPool, ChildFailurePropagatesWithPointName)
+TEST(LocalDispatch, ChildFailurePropagatesWithPointName)
 {
     auto fn = [](std::size_t i) -> std::string {
         if (i == 2)
@@ -150,9 +157,8 @@ TEST(JobPool, ChildFailurePropagatesWithPointName)
     auto label = [](std::size_t i) {
         return "point-" + std::to_string(i);
     };
-    JobPool pool(3);
     try {
-        pool.run(5, fn, label);
+        runLocal(3, 5, fn, label);
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("point-2"),
@@ -161,7 +167,7 @@ TEST(JobPool, ChildFailurePropagatesWithPointName)
     }
 }
 
-TEST(JobPool, LargePayloadsSurviveThePipe)
+TEST(LocalDispatch, LargePayloadsSurviveThePipe)
 {
     // Larger than the 64 KiB pipe buffer: exercises incremental
     // draining in the parent.
@@ -169,8 +175,7 @@ TEST(JobPool, LargePayloadsSurviveThePipe)
         return std::string(256 * 1024, char('a' + int(i)));
     };
     auto label = [](std::size_t i) { return std::to_string(i); };
-    JobPool pool(2);
-    auto out = pool.run(3, fn, label);
+    auto out = runLocal(2, 3, fn, label);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(out[i].size(), 256u * 1024u);
         EXPECT_EQ(out[i][0], char('a' + int(i)));
@@ -294,8 +299,16 @@ TEST(SweepOptions, EffectiveJobsHonoursEnv)
     setenv("A4_JOBS", "7", 1);
     EXPECT_EQ(SweepOptions{}.effectiveJobs(), 7u);
 
-    setenv("A4_JOBS", "zero-cores", 1);
-    EXPECT_GE(SweepOptions{}.effectiveJobs(), 1u);
+    // Malformed and out-of-range values fall back to the hardware
+    // thread count instead of truncating.
+    const unsigned hw = std::thread::hardware_concurrency();
+    for (const char *bad : {"zero-cores", "4294967296", "4294967297",
+                            "99999999999999999999", "-1", ""}) {
+        setenv("A4_JOBS", bad, 1);
+        EXPECT_EQ(SweepOptions{}.effectiveJobs(), hw ? hw : 1u) << bad;
+    }
+    setenv("A4_JOBS", "4294967295", 1);
+    EXPECT_EQ(SweepOptions{}.effectiveJobs(), 4294967295u);
 
     unsetenv("A4_JOBS");
     EXPECT_GE(SweepOptions{}.effectiveJobs(), 1u);
@@ -304,26 +317,22 @@ TEST(SweepOptions, EffectiveJobsHonoursEnv)
         setenv("A4_JOBS", saved_val.c_str(), 1);
 }
 
-TEST(ScenarioCodec, MicroResultRoundTrips)
+TEST(SweepOptions, JobsRejectsOutOfRangeCounts)
 {
-    MicroResult m;
-    for (unsigned v = 0; v < 3; ++v) {
-        m.xmem_ipc[v] = 0.1 * (v + 1);
-        m.xmem_hit[v] = 0.31 * (v + 1);
+    // Each is rejected like "abc": one line naming the value, exit 2
+    // (never a silent wrap to 0 = "all cores").
+    for (const char *bad : {"abc", "0", "4294967296",
+                            "99999999999999999999"}) {
+        const char *argv[] = {"bench", "--jobs", bad};
+        EXPECT_EXIT(SweepOptions::parse("bench", 3,
+                                        const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(2),
+                    std::string("bad --jobs value '") + bad + "'");
     }
-    m.net_tail_us = 12.75;
-    m.net_rd_gbps = 88.125;
-    m.past_events = 7.0;
-
-    MicroResult back = microResultFrom(
-        Record::deserialize(toRecord(m).serialize()));
-    for (unsigned v = 0; v < 3; ++v) {
-        EXPECT_EQ(back.xmem_ipc[v], m.xmem_ipc[v]);
-        EXPECT_EQ(back.xmem_hit[v], m.xmem_hit[v]);
-    }
-    EXPECT_EQ(back.net_tail_us, m.net_tail_us);
-    EXPECT_EQ(back.net_rd_gbps, m.net_rd_gbps);
-    EXPECT_EQ(back.past_events, m.past_events);
+    const char *argv[] = {"bench", "-j4294967295"};
+    EXPECT_EQ(SweepOptions::parse("bench", 2, const_cast<char **>(argv))
+                  .jobs,
+              4294967295u);
 }
 
 TEST(ScenarioCodec, ScenarioResultRoundTrips)

@@ -229,6 +229,8 @@ TEST(SweepSpec, RejectsUnknownRecordView)
 {
     expectSweepError("sweep = s\nrecord = tables\n",
                      "sweep.txt:2: unknown record view 'tables'");
+    expectSweepError("sweep = s\nrecord = micro\n",
+                     "sweep.txt:2: unknown record view 'micro'");
 }
 
 TEST(SweepSpec, RejectsUnknownPlaceholderAndUnboundAxis)
@@ -326,6 +328,52 @@ TEST(SweepSpec, OverrideErasingALabelSetRejectsBeforeRunning)
     EXPECT_EQ(expandSweepSpec(ok, "t").size(), 4u);
 }
 
+TEST(SweepSpec, ValuesOverrideDropsLabelsWhateverTheCount)
+{
+    // fig12 names its ten block sizes through KB labels. Ten new
+    // values must not inherit them: the point running 1-byte blocks
+    // is named block=1KB by its value, not block=4KB.
+    SweepSpec spec = findSweep("fig12_network_block_sweep")->spec;
+    ASSERT_EQ(spec.findAxis("block")->values.size(), 10u);
+    applySweepOverrides(spec, {"block.values=1,2,3,4,5,6,7,8,9,10"});
+    EXPECT_TRUE(spec.findAxis("block")->labels.empty());
+    const std::vector<SweepPoint> pts = expandSweepSpec(spec, "t");
+    ASSERT_EQ(pts.size(), 30u);
+    const char *schemes[] = {"Default", "Isolate", "A4-d"};
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        EXPECT_EQ(pts[i].name, sformat("%s/block=%zuKB", schemes[i / 10],
+                                       i % 10 + 1));
+
+    // Label sets go too: re-listing fig03's own ten x values drops
+    // the {x:mask} set its table renders.
+    SweepSpec f3 = findSweep("fig03_contention")->spec;
+    std::string same;
+    for (const std::string &v : f3.findAxis("x")->values)
+        same += (same.empty() ? "" : ",") + v;
+    EXPECT_THROW(applySweepOverrides(f3, {"x.values=" + same}),
+                 FatalError);
+}
+
+TEST(SweepSpec, LabelOverridesApplyBeforeOrAfterValues)
+{
+    for (bool labels_first : {false, true}) {
+        SweepSpec spec = findSweep("fig12_network_block_sweep")->spec;
+        std::vector<std::string> batch = {"block.values=4096,8192",
+                                          "block.labels=4,8"};
+        if (labels_first)
+            std::swap(batch[0], batch[1]);
+        applySweepOverrides(spec, batch);
+        const std::vector<SweepPoint> pts = expandSweepSpec(spec, "t");
+        ASSERT_EQ(pts.size(), 6u) << labels_first;
+        EXPECT_EQ(pts[0].name, "Default/block=4KB") << labels_first;
+        EXPECT_EQ(pts[1].name, "Default/block=8KB") << labels_first;
+    }
+    SweepSpec f3 = findSweep("fig03_contention")->spec;
+    applySweepOverrides(f3, {"x.labels.mask=0x600,0x030",
+                             "x.values=0:1,5:6"});
+    EXPECT_EQ(expandSweepSpec(f3, "t").size(), 4u);
+}
+
 TEST(SweepSpec, OverridesRedefineAxesAndBase)
 {
     SweepSpec spec = parseSweepSpec(kSkeleton);
@@ -412,15 +460,39 @@ TEST(SweepSpec, Fig03PointMatchesHandWiredTestbed)
 
 TEST(SweepSpec, Fig11PointMatchesRunMicroScenario)
 {
-    const ScenarioSpec spec =
-        pointSpec("fig11_xmem_packet_sweep", "A4-d/p256B");
-    const Record via_sweep =
-        toRecord(microResultFromSpec(runSpecWithWindows(spec,
-                                                        tinyWindows())));
+    // The fig11 select Record of A4-d/p256B equals the Fig. 11/12
+    // projection computed by hand from the same point spec after a
+    // trip through the text codec: keys, key order and values. (The
+    // hand projection is what the retired runMicroScenario computed.)
+    SweepSpec sweep = findSweep("fig11_xmem_packet_sweep")->spec;
+    applySweepOverrides(sweep, {"base.warmup_ns=2000000",
+                                "base.measure_ns=3000000"});
+    const Record rec = runSweepPointRecord(sweep, "A4-d/p256B", "t");
+    Record got; // minus the wall-clock keys
+    for (const Record::Entry &e : rec.entries()) {
+        if (e.key != "warmup_s" && e.key != "measure_s")
+            got.set(e.key, e.num);
+    }
 
-    ScenarioOptions opt;
-    opt.windows = tinyWindows();
-    const Record direct =
-        toRecord(runMicroScenario(Scheme::A4d, 256, 2 * kMiB, opt));
-    EXPECT_EQ(via_sweep.serialize(), direct.serialize());
+    ScenarioSpec spec;
+    for (SweepPoint &p : expandSweepSpec(sweep, "t")) {
+        if (p.name == "A4-d/p256B")
+            spec = parseSpec(serializeSpec(p.spec));
+    }
+    const SpecResult sr = runSpec(spec);
+    Record want;
+    for (unsigned v = 1; v <= 3; ++v) {
+        const SpecWorkloadResult *x = sr.find(sformat("xmem%u", v));
+        ASSERT_NE(x, nullptr);
+        want.set(sformat("x%u_ipc", v), x->ipc);
+        want.set(sformat("x%u_hit", v), x->llc_hit_rate);
+    }
+    const SpecWorkloadResult *dpdk = sr.find("dpdk-t");
+    ASSERT_NE(dpdk, nullptr);
+    want.set("net_tail_us", dpdk->tail_latency_us);
+    want.set("net_rd_gbps", dpdk->ingress_bytes * 1e9 /
+                                double(sr.measure_window) * sr.scale /
+                                1e9);
+    want.set("past_events", sr.past_events);
+    EXPECT_EQ(got.serialize(), want.serialize());
 }
