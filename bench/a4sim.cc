@@ -191,6 +191,15 @@ run(int argc, char **argv)
                               "--scheme");
         applySpecOverrides(spec, sets, "--set");
     }
+    // Overrides may add workloads to a file's spec, so an empty one is
+    // rejected only now, naming its source: the scenario, or the path.
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+        if (selected[i].second.workloads.empty())
+            fatal(sformat("%s: no workloads",
+                          i < names.size()
+                              ? selected[i].first.c_str()
+                              : files[i - names.size()].c_str()));
+    }
 
     if (print_only) {
         for (std::size_t i = 0; i < selected.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
 #include <new>
 
 #include "sim/log.hh"
@@ -28,7 +29,9 @@ unmapPages(void *p, std::size_t bytes) noexcept
 
 CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
                          Dram &dram_, CatController &cat_)
-    : geom(g), lat(l), dram(dram_), cat(cat_)
+    : geom(g), lat(l), dram(dram_), cat(cat_),
+      llc_lanes(setmeta::lanesFor(g.llc_ways)),
+      mlc_lanes(setmeta::lanesFor(g.mlc_ways))
 {
     if (geom.dca_ways + geom.inclusive_ways > geom.llc_ways)
         fatal("CacheSystem: DCA + inclusive ways exceed associativity");
@@ -66,13 +69,14 @@ namespace
 {
 
 /** Identity recency order and all-invalid fingerprints for @p sets
- *  sets of @p ways ways. */
+ *  sets of @p ways ways, each array spanning @p lanes bytes. */
 void
-initSets(std::vector<std::uint8_t> &meta, std::size_t sets, unsigned ways)
+initSets(WayArray<std::uint8_t> &meta, std::size_t sets, unsigned ways,
+         unsigned lanes)
 {
-    meta.assign(sets * 2 * ways + setmeta::kTailPad, setmeta::kInvalidFp);
+    meta.assign(sets * 2 * lanes, setmeta::kInvalidFp);
     for (std::size_t s = 0; s < sets; ++s) {
-        std::uint8_t *order = &meta[s * 2 * ways + ways];
+        std::uint8_t *order = &meta[(2 * s + 1) * lanes];
         for (unsigned w = 0; w < ways; ++w)
             order[w] = static_cast<std::uint8_t>(w);
     }
@@ -110,9 +114,9 @@ orderByStamps(std::uint8_t *order, const std::uint64_t *tags,
 void
 CacheSystem::initMetadata()
 {
-    initSets(llc_meta, geom.llc_sets, geom.llc_ways);
+    initSets(llc_meta, geom.llc_sets, geom.llc_ways, llc_lanes);
     initSets(mlc_meta, std::size_t(geom.num_cores) * geom.mlc_sets,
-             geom.mlc_ways);
+             geom.mlc_ways, mlc_lanes);
 }
 
 void
@@ -128,7 +132,7 @@ CacheSystem::rebuildMetadata()
                 meta[w] = llcLoc(lineOfEntry(tags[w])).fp;
         }
         if (geom.replacement == LlcReplacement::Lru)
-            orderByStamps(meta + lw, tags, &llc_lru[llcIdx(s, 0)], lw,
+            orderByStamps(llcOrder(s), tags, &llc_lru[llcIdx(s, 0)], lw,
                           kValidEntryBit);
     }
     const unsigned mw = geom.mlc_ways;
@@ -139,7 +143,7 @@ CacheSystem::rebuildMetadata()
             if (tags[w] & kValidEntryBit)
                 meta[w] = mlcLoc(lineOfEntry(tags[w])).fp;
         }
-        orderByStamps(meta + mw, tags, &mlc_lru[ms * mw], mw,
+        orderByStamps(mlcOrder(ms), tags, &mlc_lru[ms * mw], mw,
                       kValidEntryBit);
     }
 }
@@ -152,7 +156,7 @@ CacheSystem::touchLlc(unsigned set, unsigned way)
     // (RRPV 0).
     if (geom.replacement == LlcReplacement::Lru) {
         llc_lru[llcIdx(set, way)] = ++llc_tick[set];
-        setmeta::touch(llcMeta(set) + geom.llc_ways, geom.llc_ways, way);
+        setmeta::touch(llcOrder(set), geom.llc_ways, way);
     } else {
         llc_lru[llcIdx(set, way)] = 0;
     }
@@ -262,7 +266,7 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
         mw >= 0) {
         const std::size_t mi = mset * mways + unsigned(mw);
         mlc_lru[mi] = ++mlc_tick[mset];
-        setmeta::touch(mmeta + mways, mways, unsigned(mw));
+        setmeta::touch(mlcOrder(mset), mways, unsigned(mw));
         if (is_write)
             mlc_tags[mi] |= std::uint64_t(kDirty) << kFlagShift;
         w.mlc_hit.inc();
@@ -274,9 +278,10 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
     // Nothing below touches this MLC set before the fill, so it is
     // fixed now; start fetching its LLC set, which the eviction
     // probes, before the accessed line's LLC lookup.
-    const int inv = setmeta::firstInMask(mmeta, mways, setmeta::kInvalidFp,
-                                         ~std::uint64_t(0));
-    const unsigned victim = inv >= 0 ? unsigned(inv) : mmeta[2 * mways - 1];
+    const std::uint64_t inv = setmeta::eqMask(mmeta, mways,
+                                              setmeta::kInvalidFp);
+    const unsigned victim = inv ? unsigned(std::countr_zero(inv))
+                                : mlcOrder(mset)[mways - 1];
     const std::uint64_t ventry = mlc_tags[mset * mways + victim];
     Loc vloc{};
     if (ventry & kValidEntryBit) {
@@ -347,9 +352,8 @@ CacheSystem::mlcFill(Tick now, CoreId core, std::size_t mset,
                                            (io ? kIo : 0)));
     mlc_owner[vi] = owner;
     mlc_lru[vi] = ++mlc_tick[mset];
-    std::uint8_t *meta = mlcMeta(mset);
-    meta[victim] = fp;
-    setmeta::touch(meta + geom.mlc_ways, geom.mlc_ways, victim);
+    mlcMeta(mset)[victim] = fp;
+    setmeta::touch(mlcOrder(mset), geom.mlc_ways, victim);
 }
 
 void
@@ -413,7 +417,7 @@ CacheSystem::llcAlloc(Tick now, Loc loc, Addr line, WayMask mask,
         victim = setmeta::firstInMask(meta, geom.llc_ways,
                                       setmeta::kInvalidFp, mask);
         if (victim < 0)
-            victim = setmeta::lruInMask(meta + geom.llc_ways,
+            victim = setmeta::lruInMask(llcOrder(set),
                                         geom.llc_ways, mask);
     } else {
         // SRRIP: evict the first way at the distant RRPV (3); if
@@ -611,7 +615,8 @@ namespace
 {
 
 /**
- * Violations of one set's derived metadata: (d) fingerprint bytes
+ * Violations of one set's derived metadata, whose recency order
+ * starts @p lanes bytes after its fingerprints: (d) fingerprint bytes
  * against @p fp_of applied to each valid tag, and, when @p stamps is
  * non-null, (e) the recency order is a permutation whose valid ways
  * carry descending stamps (equal stamps: higher way first).
@@ -619,7 +624,7 @@ namespace
 template <typename FpOf>
 std::size_t
 auditSetMeta(const std::uint64_t *tags, const std::uint32_t *stamps,
-             const std::uint8_t *meta, unsigned ways,
+             const std::uint8_t *meta, unsigned lanes, unsigned ways,
              std::uint64_t valid_bit, FpOf fp_of)
 {
     std::size_t violations = 0;
@@ -633,7 +638,7 @@ auditSetMeta(const std::uint64_t *tags, const std::uint32_t *stamps,
     if (stamps == nullptr)
         return violations;
 
-    const std::uint8_t *order = meta + ways;
+    const std::uint8_t *order = meta + lanes;
     std::uint64_t seen = 0;
     int prev = -1;
     for (unsigned i = 0; i < ways; ++i) {
@@ -690,14 +695,14 @@ CacheSystem::auditInvariants() const
             &llc_tags[base],
             geom.replacement == LlcReplacement::Lru ? &llc_lru[base]
                                                     : nullptr,
-            llcMeta(s), geom.llc_ways, kValidEntryBit,
+            llcMeta(s), llc_lanes, geom.llc_ways, kValidEntryBit,
             [this](std::uint64_t e) { return llcLoc(lineOfEntry(e)).fp; });
     }
     for (std::size_t ms = 0; ms < mlc_tick.size(); ++ms) {
         const std::size_t base = ms * geom.mlc_ways;
         violations += auditSetMeta(
-            &mlc_tags[base], &mlc_lru[base], mlcMeta(ms), geom.mlc_ways,
-            kValidEntryBit,
+            &mlc_tags[base], &mlc_lru[base], mlcMeta(ms), mlc_lanes,
+            geom.mlc_ways, kValidEntryBit,
             [this](std::uint64_t e) { return mlcLoc(lineOfEntry(e)).fp; });
     }
     return violations;

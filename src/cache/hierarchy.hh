@@ -39,19 +39,21 @@
  * the registered MLC core live in parallel arrays. These arrays are
  * the authoritative state and the checkpoint image. Every set also
  * carries derived metadata (cache/setmeta.hh): one fingerprint byte
- * and one recency-order byte per way, interleaved per set. A lookup
+ * and one recency-order byte per way, each array padded to whole
+ * 16-byte chunks (32 bytes per set for up to 16 ways). A lookup
  * hashes the line once for both the set index and the fingerprint,
- * compares the set's fingerprints eight at a time and checks full
- * tags only on a fingerprint match; an LRU victim is the first
- * invalid way inside the allocation mask, else the last way of the
- * recency order inside it. The metadata is rebuilt from the tags and
- * stamps on restore and audited against them (auditInvariants).
+ * compares all of the set's fingerprints with one SSE2 compare and
+ * checks full tags only on a fingerprint match; a touch moves the way
+ * to the front of the recency order with one vector shift and blend;
+ * an LRU victim is the first invalid way inside the allocation mask,
+ * else the last way of the recency order inside it. The metadata is
+ * rebuilt from the tags and stamps on restore and audited against
+ * them (auditInvariants).
  */
 
 #ifndef A4_CACHE_HIERARCHY_HH
 #define A4_CACHE_HIERARCHY_HH
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -377,28 +379,16 @@ class CacheSystem
 
     /**
      * Way holding @p line in a set of @p ways tags whose metadata is
-     * @p meta, or -1. The most recently used way is tried first (a
-     * re-touch is the commonest hit); otherwise full tags are read
-     * only where the fingerprint matches.
+     * @p meta, or -1. Full tags are read only where the fingerprint
+     * matches.
      */
     static int
     findWay(const std::uint64_t *tags, const std::uint8_t *meta,
             unsigned ways, Addr line, std::uint8_t fp)
     {
-        const std::uint64_t want = (line & kAddrMask) | kValidEntryBit;
-        if (const unsigned mru = meta[ways];
-            (tags[mru] & kMatchMask) == want)
-            return static_cast<int>(mru);
-        for (unsigned i = 0; i < ways; i += 8) {
-            for (std::uint64_t z = setmeta::eqLanes(meta + i, ways - i, fp);
-                 z; z &= z - 1) {
-                const unsigned w =
-                    i + static_cast<unsigned>(std::countr_zero(z)) / 8;
-                if ((tags[w] & kMatchMask) == want)
-                    return static_cast<int>(w);
-            }
-        }
-        return -1;
+        return setmeta::findTag(tags, meta, ways, fp,
+                                (line & kAddrMask) | kValidEntryBit,
+                                kMatchMask);
     }
 
     std::size_t llcIdx(unsigned set, unsigned way) const
@@ -418,22 +408,28 @@ class CacheSystem
         return mlcSet(core, set) * geom.mlc_ways + way;
     }
 
-    /** A set's metadata: fingerprints at [0, ways), order after. */
+    /** A set's metadata: fingerprints at [0, lanes), the recency
+     *  order at [lanes, 2 * lanes). */
     std::uint8_t *llcMeta(unsigned set)
     {
-        return &llc_meta[std::size_t(set) * 2 * geom.llc_ways];
+        return &llc_meta[std::size_t(set) * 2 * llc_lanes];
     }
     const std::uint8_t *llcMeta(unsigned set) const
     {
-        return &llc_meta[std::size_t(set) * 2 * geom.llc_ways];
+        return &llc_meta[std::size_t(set) * 2 * llc_lanes];
     }
+    std::uint8_t *llcOrder(unsigned set) { return llcMeta(set) + llc_lanes; }
     std::uint8_t *mlcMeta(std::size_t mset)
     {
-        return &mlc_meta[mset * 2 * geom.mlc_ways];
+        return &mlc_meta[mset * 2 * mlc_lanes];
     }
     const std::uint8_t *mlcMeta(std::size_t mset) const
     {
-        return &mlc_meta[mset * 2 * geom.mlc_ways];
+        return &mlc_meta[mset * 2 * mlc_lanes];
+    }
+    std::uint8_t *mlcOrder(std::size_t mset)
+    {
+        return mlcMeta(mset) + mlc_lanes;
     }
 
     int
@@ -502,9 +498,12 @@ class CacheSystem
     WayArray<std::uint16_t> mlc_owner;
     WayArray<std::uint32_t> mlc_tick;
 
-    // Derived set metadata (2 bytes per way + setmeta::kTailPad).
-    std::vector<std::uint8_t> llc_meta;
-    std::vector<std::uint8_t> mlc_meta;
+    // Derived set metadata: 2 * lanes bytes per set, where lanes is
+    // the way count rounded up to whole chunks (setmeta::lanesFor).
+    unsigned llc_lanes;
+    unsigned mlc_lanes;
+    WayArray<std::uint8_t> llc_meta;
+    WayArray<std::uint8_t> mlc_meta;
 
     mutable std::vector<WorkloadCounters> wl_stats;
     GlobalCacheCounters gstats;

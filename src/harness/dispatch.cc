@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -219,21 +220,30 @@ pointTimeoutFromEnv(double fallback)
     return v;
 }
 
+std::optional<unsigned>
+parseCount(const char *s, unsigned min)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long long v = std::strtoll(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE || v < min ||
+        v > UINT_MAX)
+        return std::nullopt;
+    return unsigned(v);
+}
+
 unsigned
 retryBudgetFromEnv(unsigned fallback)
 {
     const char *env = std::getenv("A4_POINT_RETRIES");
     if (!env)
         return fallback;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (!end || *end != '\0' || v < 0) {
-        std::fprintf(stderr,
-                     "warning: A4_POINT_RETRIES: ignoring malformed "
-                     "value '%s'\n", env);
-        return fallback;
-    }
-    return unsigned(v);
+    if (const std::optional<unsigned> v = parseCount(env, 0))
+        return *v;
+    std::fprintf(stderr,
+                 "warning: A4_POINT_RETRIES: ignoring malformed value "
+                 "'%s'\n", env);
+    return fallback;
 }
 
 std::vector<std::string>

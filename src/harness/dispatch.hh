@@ -42,6 +42,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,7 +107,12 @@ class Dispatcher
 /** $A4_POINT_TIMEOUT (seconds, fractional ok) or @p fallback. */
 double pointTimeoutFromEnv(double fallback = 0);
 
-/** $A4_POINT_RETRIES or @p fallback. */
+/** A count: a whole decimal number in [@p min, UINT_MAX], else
+ *  nullopt (trailing text, overflow and values below @p min). */
+std::optional<unsigned> parseCount(const char *s, unsigned min);
+
+/** $A4_POINT_RETRIES (a count >= 0) or, with a warning when it is
+ *  set but not a count, @p fallback. */
 unsigned retryBudgetFromEnv(unsigned fallback = 2);
 
 /** $A4_WORKERS (comma-separated host:port list) or empty. */

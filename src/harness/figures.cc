@@ -140,9 +140,9 @@ staticBase()
     return s;
 }
 
-const std::vector<std::string> kBlocksKb = {"4",   "8",   "16",  "32",
-                                            "64",  "128", "256", "512",
-                                            "1024", "2048"};
+const std::vector<std::string> kBlocksKb = {
+    "4KB",   "8KB",   "16KB",  "32KB",   "64KB",
+    "128KB", "256KB", "512KB", "1024KB", "2048KB"};
 const std::vector<std::string> kBlocksBytes = {
     "4096",   "8192",   "16384",  "32768",   "65536",
     "131072", "262144", "524288", "1048576", "2097152"};
@@ -256,7 +256,7 @@ fig05()
     addAxis(s, "block", "fio.block_bytes", kBlocksBytes, kBlocksKb);
     addAxis(s, "dca", "dca", {"1", "0"}, {"dca-on", "dca-off"});
 
-    addGrid(s, "main", "block={block}KB/{dca}", {"block", "dca"});
+    addGrid(s, "main", "block={block}/{dca}", {"block", "dca"});
 
     metric(s.metrics, "storage_gbps", "fio.io_rd_gbps");
     metric(s.metrics, "mem_rd_gbps", "sys.mem_rd_gbps");
@@ -269,7 +269,7 @@ fig05()
             "[DCA on] leak", "[DCA off] Storage GB/s",
             "[DCA off] MemRd GB/s"});
     SweepRowBlock &b = addBlock(t, "main", {"block"});
-    b.cells = {cText("{block}KB"),
+    b.cells = {cText("{block}"),
                cell("num", "storage_gbps", -1, "dca=1"),
                cell("num", "mem_rd_gbps", -1, "dca=1"),
                cell("pct", "leak_rate", -1, "dca=1"),
@@ -296,7 +296,7 @@ fig06()
     dca.label_sets.emplace_back(
         "disp", std::vector<std::string>{"DCA on", "DCA off"});
 
-    addGrid(s, "a", "a/block={block}KB/{dca}", {"block", "dca"});
+    addGrid(s, "a", "a/block={block}/{dca}", {"block", "dca"});
     SweepGrid &gb = addGrid(s, "b", "b/solo/{dca}", {"dca"});
     set(gb, "drop", "fio");
 
@@ -310,7 +310,7 @@ fig06()
             "[on] Storage GB/s", "[off] Net AL us", "[off] Net TL us",
             "[off] Storage GB/s"});
     SweepRowBlock &b = addBlock(t, "a", {"block"});
-    b.cells = {cText("{block}KB"),
+    b.cells = {cText("{block}"),
                cell("num", "net_avg_us", 1, "dca=1"),
                cell("num", "net_p99_us", 1, "dca=1"),
                cell("num", "storage_gbps", 2, "dca=1"),
@@ -384,12 +384,12 @@ fig08()
 
     addAxis(s, "block", "fio.block_bytes",
             {"16384", "32768", "65536", "131072", "262144", "524288"},
-            {"16", "32", "64", "128", "256", "512"});
+            {"16KB", "32KB", "64KB", "128KB", "256KB", "512KB"});
     addAxis(s, "mode", "fio.dca", {"1", "0"}, {"dca-on", "ssd-off"});
     addAxis(s, "fiohi", "fio.pin", {"2:5", "2:4", "2:3", "2:2"});
 
     SweepGrid &ga =
-        addGrid(s, "a", "a/block={block}KB/{mode}", {"block", "mode"});
+        addGrid(s, "a", "a/block={block}/{mode}", {"block", "mode"});
     metric(ga.metrics, "net_avg_us", "dpdk-t.lat_avg_us");
     metric(ga.metrics, "net_p99_us", "dpdk-t.lat_p99_us");
     metric(ga.metrics, "storage_gbps", "fio.io_rd_gbps");
@@ -423,7 +423,7 @@ fig08()
             "[DCA on] Storage GB/s", "[SSD off] Net AL us",
             "[SSD off] Net TL us", "[SSD off] Storage GB/s"});
     SweepRowBlock &ba = addBlock(ta, "a", {"block"});
-    ba.cells = {cText("{block}KB"),
+    ba.cells = {cText("{block}"),
                 cell("num", "net_avg_us", 1, "mode=1"),
                 cell("num", "net_p99_us", 1, "mode=1"),
                 cell("num", "storage_gbps", 2, "mode=1"),
@@ -501,14 +501,14 @@ fig12()
 
     addAxis(s, "scheme", "scheme", {"Default", "Isolate", "A4-d"});
     addAxis(s, "block", "fio.block_bytes", kBlocksBytes, kBlocksKb);
-    addGrid(s, "main", "{scheme}/block={block}KB", {"scheme", "block"});
+    addGrid(s, "main", "{scheme}/block={block}", {"scheme", "block"});
 
     text(s, "=== Fig. 12: network tail latency / read throughput "
             "vs storage block (packet 1514B) ===\n");
     SweepOutput &t = addTable(
         s, {"scheme", "block", "Net TL (us)", "Net Rd (GB/s)"});
     SweepRowBlock &b = addBlock(t, "main", {"scheme", "block"});
-    b.cells = {cText("{scheme}"), cText("{block}KB"),
+    b.cells = {cText("{scheme}"), cText("{block}"),
                cell("num", "net_tail_us", 1),
                cell("num", "net_rd_gbps")};
     return s;

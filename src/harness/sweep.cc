@@ -1,8 +1,6 @@
 #include "harness/sweep.hh"
 
-#include <cerrno>
 #include <cinttypes>
-#include <climits>
 #include <cmath>
 #include <exception>
 #include <cstdio>
@@ -237,23 +235,10 @@ optValue(const std::string &bench, int argc, char **argv, int &i,
     return false;
 }
 
-/** A worker count: a whole decimal number in [1, UINT_MAX]. */
-std::optional<unsigned>
-parseWorkerCount(const char *s)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE || v < 1 ||
-        v > UINT_MAX)
-        return std::nullopt;
-    return unsigned(v);
-}
-
 unsigned
 parseJobs(const std::string &bench, const std::string &val)
 {
-    const std::optional<unsigned> v = parseWorkerCount(val.c_str());
+    const std::optional<unsigned> v = parseCount(val.c_str(), 1);
     if (!v) {
         std::fprintf(stderr, "%s: bad --jobs value '%s'\n",
                      bench.c_str(), val.c_str());
@@ -314,7 +299,7 @@ SweepOptions::effectiveJobs() const
     if (jobs)
         return jobs;
     if (const char *env = std::getenv("A4_JOBS")) {
-        if (const std::optional<unsigned> v = parseWorkerCount(env))
+        if (const std::optional<unsigned> v = parseCount(env, 1))
             return *v;
         // stderr, not warn(): benches run quiet (see
         // warnOncePerValue in sim/log.hh for the rationale).

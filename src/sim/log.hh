@@ -5,7 +5,8 @@
  * panic() flags an internal simulator bug (impossible state); fatal()
  * flags a user/configuration error. Both throw so that unit tests can
  * assert on misuse; command-line programs run their main() body
- * through runCli(), which turns either into one line and exit 1.
+ * through runCli(), which turns these and any other exception into
+ * one line and exit 1.
  * warn()/inform() print to stderr and never stop the simulation.
  */
 
@@ -64,24 +65,23 @@ void warnOncePerValue(std::string &warned, const char *value,
                       const char *format);
 
 /**
- * Print a FatalError/PanicError that reached a program's top level as
- * one line on stderr, "<prog>: <message>" (newlines in the message
- * flattened), and return the exit status 1.
+ * Print an exception that reached a program's top level as one line
+ * on stderr, "<prog>: <message>" (newlines in the message flattened),
+ * and return the exit status 1.
  */
 int reportCliFailure(const char *prog, const std::exception &e);
 
-/** Run a command-line program's main() body; a FatalError or
- *  PanicError ends it through reportCliFailure() instead of an
- *  uncaught-exception abort. */
+/** Run a command-line program's main() body; any std::exception it
+ *  throws (FatalError, PanicError, SnapshotError, ...) ends it
+ *  through reportCliFailure() instead of an uncaught-exception
+ *  abort. */
 template <typename Body>
 int
 runCli(const char *prog, Body &&body)
 {
     try {
         return body();
-    } catch (const FatalError &e) {
-        return reportCliFailure(prog, e);
-    } catch (const PanicError &e) {
+    } catch (const std::exception &e) {
         return reportCliFailure(prog, e);
     }
 }

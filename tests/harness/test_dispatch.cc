@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <signal.h>
@@ -210,6 +211,19 @@ TEST(Dispatch, EnvKnobParsers)
         ScopedEnv r("A4_POINT_RETRIES", "-2");
         EXPECT_DOUBLE_EQ(pointTimeoutFromEnv(), 0.0);
         EXPECT_EQ(retryBudgetFromEnv(), 2u);
+    }
+    // Zero retries and the largest count are counts; one past it and
+    // far past it (which a bare cast would wrap) keep the fallback.
+    for (const auto &[text, want] :
+         std::vector<std::pair<const char *, unsigned>>{
+             {"0", 0u},
+             {"4294967295", 4294967295u},
+             {"4294967296", 2u},
+             {"99999999999999999999999", 2u},
+             {"3x", 2u},
+             {"", 2u}}) {
+        ScopedEnv r("A4_POINT_RETRIES", text);
+        EXPECT_EQ(retryBudgetFromEnv(), want) << "'" << text << "'";
     }
 }
 

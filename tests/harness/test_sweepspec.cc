@@ -332,7 +332,7 @@ TEST(SweepSpec, ValuesOverrideDropsLabelsWhateverTheCount)
 {
     // fig12 names its ten block sizes through KB labels. Ten new
     // values must not inherit them: the point running 1-byte blocks
-    // is named block=1KB by its value, not block=4KB.
+    // is named block=1 by its value, not block=4KB.
     SweepSpec spec = findSweep("fig12_network_block_sweep")->spec;
     ASSERT_EQ(spec.findAxis("block")->values.size(), 10u);
     applySweepOverrides(spec, {"block.values=1,2,3,4,5,6,7,8,9,10"});
@@ -341,7 +341,7 @@ TEST(SweepSpec, ValuesOverrideDropsLabelsWhateverTheCount)
     ASSERT_EQ(pts.size(), 30u);
     const char *schemes[] = {"Default", "Isolate", "A4-d"};
     for (std::size_t i = 0; i < pts.size(); ++i)
-        EXPECT_EQ(pts[i].name, sformat("%s/block=%zuKB", schemes[i / 10],
+        EXPECT_EQ(pts[i].name, sformat("%s/block=%zu", schemes[i / 10],
                                        i % 10 + 1));
 
     // Label sets go too: re-listing fig03's own ten x values drops
@@ -354,12 +354,41 @@ TEST(SweepSpec, ValuesOverrideDropsLabelsWhateverTheCount)
                  FatalError);
 }
 
+TEST(SweepSpec, BlockUnitLivesInTheLabels)
+{
+    // The block sweeps name points and table cells through their KB
+    // labels; a values override without labels names each point by
+    // its byte count, with no unit glued on by the template.
+    struct Case
+    {
+        const char *sweep, *first, *overridden;
+    };
+    const Case cases[] = {
+        {"fig05_storage_dca", "block=4KB/dca-on", "block=4096/dca-on"},
+        {"fig06_storage_network", "a/block=4KB/dca-on",
+         "a/block=4096/dca-on"},
+        {"fig08_device_aware", "a/block=16KB/dca-on",
+         "a/block=4096/dca-on"},
+        {"fig12_network_block_sweep", "Default/block=4KB",
+         "Default/block=4096"},
+    };
+    for (const Case &c : cases) {
+        SweepSpec spec = findSweep(c.sweep)->spec;
+        EXPECT_EQ(expandSweepSpec(spec, "t").front().name, c.first);
+        applySweepOverrides(spec, {"block.values=4096,8192"});
+        const std::vector<SweepPoint> pts = expandSweepSpec(spec, "t");
+        EXPECT_EQ(pts.front().name, c.overridden);
+        for (const SweepPoint &p : pts)
+            EXPECT_EQ(p.name.find("KB"), std::string::npos) << p.name;
+    }
+}
+
 TEST(SweepSpec, LabelOverridesApplyBeforeOrAfterValues)
 {
     for (bool labels_first : {false, true}) {
         SweepSpec spec = findSweep("fig12_network_block_sweep")->spec;
         std::vector<std::string> batch = {"block.values=4096,8192",
-                                          "block.labels=4,8"};
+                                          "block.labels=4KB,8KB"};
         if (labels_first)
             std::swap(batch[0], batch[1]);
         applySweepOverrides(spec, batch);

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
+#include <stdexcept>
+
 #include "sim/addrmap.hh"
 #include "sim/log.hh"
+#include "sim/serialize.hh"
 #include "sim/types.hh"
 
 using namespace a4;
@@ -56,6 +60,29 @@ TEST(Log, PanicAndFatalThrowDistinctTypes)
         EXPECT_NE(std::string(e.what()).find("message text"),
                   std::string::npos);
     }
+}
+
+TEST(Log, RunCliEndsAnyExceptionInOneLineAndExitOne)
+{
+    auto run = [](auto body, std::string &err) {
+        testing::internal::CaptureStderr();
+        const int rc = runCli("prog", body);
+        err = testing::internal::GetCapturedStderr();
+        return rc;
+    };
+    std::string err;
+    EXPECT_EQ(run([] { return 3; }, err), 3);
+    EXPECT_EQ(err, "");
+    EXPECT_EQ(run([]() -> int { fatal("bad input"); }, err), 1);
+    EXPECT_EQ(err, "prog: fatal: bad input\n");
+    EXPECT_EQ(run([]() -> int { panic("bug"); }, err), 1);
+    EXPECT_EQ(err, "prog: panic: bug\n");
+    EXPECT_EQ(run([]() -> int { throw SnapshotError("image\ntruncated"); },
+                  err),
+              1);
+    EXPECT_EQ(err, "prog: image truncated\n");
+    EXPECT_EQ(run([]() -> int { throw std::bad_alloc(); }, err), 1);
+    EXPECT_EQ(err, std::string("prog: ") + std::bad_alloc().what() + "\n");
 }
 
 TEST(Types, LineHelpers)
